@@ -999,12 +999,13 @@ func BenchmarkMergeThroughput(b *testing.B) {
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
-// BenchmarkGridFootprint measures resident bytes per occupied cell of the
-// two grid representations on real quantized workloads — the flat
-// struct-of-arrays layout against the block-compressed PackedGrid — and
-// times the pack itself. The ≥2× compression floor is asserted, not just
-// reported: the packed representation exists to shrink the resident set,
-// and a format change that quietly loses the win should fail here.
+// BenchmarkGridFootprint measures bytes per occupied cell of a quantized
+// grid in the flat struct-of-arrays layout against its block-compressed
+// PackedGrid encoding on real workloads, and times the pack itself. The
+// ≥2× compression floor is asserted, not just reported: the packed
+// encoding is the external sort's spill-run format and exists to fit more
+// cells into the spill budget and its temp files, and a format change that
+// quietly loses the win should fail here.
 func BenchmarkGridFootprint(b *testing.B) {
 	mixture := pointset.New(3, 200_000)
 	if err := synth.StreamMixture(200_000, 3, 6, 0.3, 1, func(row []float64) error {

@@ -94,8 +94,8 @@ func TestServeNonFiniteDataIs422(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 	doJSON(t, ts, "POST", base+"/points", "text/csv", []byte("1,2\nNaN,0.5\n"), http.StatusOK, nil)
 	doJSON(t, ts, "GET", base+"/labels", "", nil, http.StatusUnprocessableEntity, nil)
 }
@@ -346,8 +346,8 @@ func TestServeKillRestartE2E(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts1, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts1, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 
 	post := func(ts *httptest.Server, batch [][]float64) {
 		body, err := json.Marshal(map[string]any{"points": batch})
@@ -394,7 +394,7 @@ func TestServeKillRestartE2E(t *testing.T) {
 			Points int    `json:"points"`
 		} `json:"sessions"`
 	}
-	doJSON(t, ts2, "GET", "/sessions", "", nil, http.StatusOK, &listed)
+	doJSON(t, ts2, "GET", "/v1/sessions", "", nil, http.StatusOK, &listed)
 	if len(listed.Sessions) != 1 || listed.Sessions[0].ID != created.ID || listed.Sessions[0].Points != len(pts)-5 {
 		t.Fatalf("recovered registry: %+v", listed.Sessions)
 	}
@@ -413,7 +413,7 @@ func TestServeKillRestartE2E(t *testing.T) {
 	}
 	// The recovered session is warm and writable: session ids must not
 	// collide with the recovered one, and further mutations keep serving.
-	doJSON(t, ts2, "POST", "/sessions", "", nil, http.StatusCreated, &created)
+	doJSON(t, ts2, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
 	if created.ID == listed.Sessions[0].ID {
 		t.Fatalf("new session id %s collides with the recovered one", created.ID)
 	}
@@ -430,17 +430,17 @@ func TestServeCheckpointEndpoint(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	doJSON(t, ts, "POST", "/sessions/"+created.ID+"/checkpoint", "", nil, http.StatusConflict, nil)
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	doJSON(t, ts, "POST", "/v1/sessions/"+created.ID+"/checkpoint", "", nil, http.StatusConflict, nil)
 	ts.Close()
 
 	dataDir := filepath.Join(t.TempDir(), "data")
 	srv = mustServer(t, serverOptions{workers: 1, timeout: 30 * time.Second, dataDir: dataDir, walSync: persist.SyncAlways})
 	ts = httptest.NewServer(srv.handler())
 	defer ts.Close()
-	doJSON(t, ts, "POST", "/sessions/s404/checkpoint", "", nil, http.StatusNotFound, nil)
-	doJSON(t, ts, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts, "POST", "/v1/sessions/s404/checkpoint", "", nil, http.StatusNotFound, nil)
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 	// Checkpointing an empty session works (and is restorable).
 	doJSON(t, ts, "POST", base+"/checkpoint", "", nil, http.StatusOK, nil)
 	doJSON(t, ts, "POST", base+"/points", "application/json", []byte(`{"points":[[1,2],[3,4],[1,2]]}`), http.StatusOK, nil)
@@ -505,8 +505,8 @@ func TestServeRecoveryEquivalenceCSV(t *testing.T) {
 	var created struct {
 		ID string `json:"id"`
 	}
-	doJSON(t, ts1, "POST", "/sessions", "", nil, http.StatusCreated, &created)
-	base := "/sessions/" + created.ID
+	doJSON(t, ts1, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	base := "/v1/sessions/" + created.ID
 
 	var csvBody bytes.Buffer
 	for _, p := range data.Points[:100] {

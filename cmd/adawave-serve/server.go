@@ -29,10 +29,9 @@
 //	POST   /v1/sessions/{id}/checkpoint       force a checkpoint now (admin; requires -data-dir)
 //	DELETE /v1/sessions/{id}                  drop the session (and its on-disk state)
 //
-// The pre-v1 unversioned /sessions... routes remain as deprecated aliases
-// (one rewrite shim onto the /v1 handlers, marked with a Deprecation
-// header). Errors are a structured envelope {"error":{code,message}} with
-// the stable code vocabulary of internal/api.
+// Only the /v1 surface is served; unversioned paths answer 404. Errors
+// are a structured envelope {"error":{code,message}} with the stable code
+// vocabulary of internal/api.
 //
 // The -timeout request-scoped deadline rides the request context: the
 // ctx-aware engine aborts in-flight compute at the next shard boundary
@@ -446,8 +445,7 @@ func (s *server) Close() {
 
 // handler wires the versioned routes (each instrumented with the per-route
 // metrics) and layers the middleware: body cap → request-id propagation →
-// legacy-route shim → tenant resolution + quota admission → request-scoped
-// deadline → mux.
+// tenant resolution + quota admission → request-scoped deadline → mux.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.healthz))
@@ -480,7 +478,6 @@ func (s *server) handler() http.Handler {
 	h = s.withRole(h)
 	h = s.withDeadline(h)
 	h = s.withTenant(h)
-	h = legacyShim(h)
 	h = requestIDMiddleware(h)
 	h = s.bodyCap(h)
 	return h

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -147,87 +145,6 @@ func TestServeV1ClientLifecycle(t *testing.T) {
 	}
 	if _, err := cl.Labels(ctx, id); err == nil {
 		t.Fatal("deleted session still serves")
-	}
-}
-
-// legacyPairCase is one request replayed against both surfaces.
-type legacyPairCase struct {
-	name        string
-	method      string
-	path        string // legacy path; the v1 path is "/v1" + path
-	contentType string
-	body        string
-}
-
-// TestServeLegacyAliasByteIdentical proves the deprecated unversioned routes
-// are pure aliases: the same request sequence against two fresh servers —
-// one through /sessions..., one through /v1/sessions... — produces
-// byte-identical bodies and statuses at every step, and the legacy surface
-// additionally carries the Deprecation header.
-func TestServeLegacyAliasByteIdentical(t *testing.T) {
-	mk := func() *httptest.Server {
-		srv := mustServer(t, serverOptions{workers: 1, timeout: 30 * time.Second, csvBatch: 4, maxPoints: 50})
-		ts := httptest.NewServer(srv.handler())
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	legacy, v1 := mk(), mk()
-
-	cases := []legacyPairCase{
-		{"create", "POST", "/sessions", "application/json", `{"scale":64}`},
-		{"list", "GET", "/sessions", "", ""},
-		{"append", "POST", "/sessions/s1/points", "application/json", `{"points":[[0,0],[0.1,0.1],[0.9,0.9],[1,1]]}`},
-		{"append-csv", "POST", "/sessions/s1/points", "text/csv", "0.5,0.5\n0.6,0.6\n"},
-		{"labels", "GET", "/sessions/s1/labels", "", ""},
-		{"detail", "GET", "/sessions/s1", "", ""},
-		{"multires", "GET", "/sessions/s1/multiresolution?levels=2", "", ""},
-		{"remove", "DELETE", "/sessions/s1/points", "application/json", `{"indices":[0]}`},
-		{"labels-after-remove", "GET", "/sessions/s1/labels", "", ""},
-		{"bad-levels", "GET", "/sessions/s1/multiresolution?levels=zero", "", ""},
-		{"missing-session", "GET", "/sessions/s999/labels", "", ""},
-		{"over-limit", "POST", "/sessions/s1/points", "text/csv", strings.Repeat("0.2,0.2\n", 60)},
-		{"checkpoint-conflict", "POST", "/sessions/s1/checkpoint", "", ""},
-		{"delete", "DELETE", "/sessions/s1", "", ""},
-		{"deleted-404", "GET", "/sessions/s1/labels", "", ""},
-	}
-	issue := func(ts *httptest.Server, c legacyPairCase, path string) (int, string, http.Header) {
-		var rd io.Reader
-		if c.body != "" {
-			rd = strings.NewReader(c.body)
-		}
-		req, err := http.NewRequest(c.method, ts.URL+path, rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.contentType != "" {
-			req.Header.Set("Content-Type", c.contentType)
-		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(raw), resp.Header
-	}
-	for _, c := range cases {
-		lCode, lBody, lHdr := issue(legacy, c, c.path)
-		vCode, vBody, vHdr := issue(v1, c, "/v1"+c.path)
-		if lCode != vCode {
-			t.Fatalf("%s: status legacy %d != v1 %d", c.name, lCode, vCode)
-		}
-		if lBody != vBody {
-			t.Fatalf("%s: body diverges\nlegacy: %s\nv1:     %s", c.name, lBody, vBody)
-		}
-		if lHdr.Get("Deprecation") != "true" {
-			t.Fatalf("%s: legacy response must carry Deprecation header", c.name)
-		}
-		if vHdr.Get("Deprecation") != "" {
-			t.Fatalf("%s: v1 response must not carry Deprecation header", c.name)
-		}
 	}
 }
 

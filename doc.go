@@ -58,8 +58,8 @@
 // New builds a Clusterer from functional options layered over
 // DefaultConfig: WithWorkers, WithBasis, WithScale, WithLevels,
 // WithThreshold, WithConnectivity, WithCoeffEpsilon, WithMinClusterCells,
-// WithMinClusterMass, WithPackedCells, WithEmbedding, and WithConfig for
-// callers holding an explicit Config. Zero options reproduce the paper's parameter-free defaults. The
+// WithMinClusterMass, WithEmbedding, and WithConfig for callers holding
+// an explicit Config. Zero options reproduce the paper's parameter-free defaults. The
 // same option set configures streaming sessions through
 // Clusterer.NewSession and Clusterer.RestoreSession, which share the
 // clusterer's engine and pooled buffers. NewClusterer(cfg, workers)
@@ -133,7 +133,7 @@
 // -data-dir every acknowledged mutation is journaled to a per-session
 // write-ahead log (fsync policy selectable via -wal-sync: always /
 // interval / never), a background checkpointer (and the admin endpoint
-// POST /sessions/{id}/checkpoint) folds grown logs into fresh checkpoints
+// POST /v1/sessions/{id}/checkpoint) folds grown logs into fresh checkpoints
 // and truncates them, and a restarted process recovers each session from
 // its newest checkpoint plus the WAL tail, discarding a torn trailing
 // record. Because grid masses are additive, each replayed batch re-merges
@@ -173,18 +173,16 @@
 //
 // # Grid memory layout
 //
-// The grids that stay resident across a workload's lifetime — a Session's
-// live base grid and the external pipeline's merged output — default to a
-// block-compressed representation: cells group into blocks of up to 4096,
-// each storing frame-of-reference delta-coded, bit-packed coordinates and
-// bit-packed integer masses (pre-transform masses are point counts;
-// promotion to float64 happens only at the wavelet boundary). That cuts
-// resident bytes per occupied cell several-fold versus the flat
-// struct-of-arrays layout — about 12 B/cell down to 2.2 on the paper's
-// running example — and the external sort's spill runs and checkpoint grid
-// snapshots reuse the same encoding on disk. Labels are bit-identical
-// under either representation, and a checkpoint taken under one restores
-// under the other; WithPackedCells(false) opts back into the flat layout.
+// Every in-memory grid — a Session's live base grid, the one-shot and
+// external pipelines' quantization grid — is the flat struct-of-arrays
+// layout the paper's grid-labeling structure describes: only occupied cells
+// are stored, as sorted uint16 coordinates beside float64 masses, about
+// 2·d+8 bytes per cell. A block-compressed encoding (frame-of-reference
+// delta-coded, bit-packed coordinates and bit-packed integer masses, ~2–4
+// bytes per cell) exists only on disk: it is the external sort's spill-run
+// format, and checkpoints written by earlier builds in that encoding
+// (AWG2 grid snapshots) still restore. New checkpoints write the flat AWG1
+// snapshot, which every build reads.
 //
 // # Out-of-core clustering
 //

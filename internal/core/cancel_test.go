@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -36,56 +38,89 @@ func hookCancelAt(cancel context.CancelFunc, k int32) *atomic.Int32 {
 	return &count
 }
 
-// TestEngineCancelAtEveryStage cancels a one-shot ClusterDatasetContext at
-// each named stage boundary in turn and asserts the taxonomy error, then
-// that the engine still produces the bit-identical reference result.
+// TestEngineCancelAtEveryStage cancels a one-shot clustering at each named
+// stage boundary in turn and asserts the taxonomy error, then that the
+// engine still produces the bit-identical reference result. Each fixture
+// runs twice: in RAM through ClusterDatasetContext ("/flat"), and out of
+// core through ClusterDatasetExternal with every sorted run spilled to disk
+// in the packed block codec ("/packed"), where a cancelled call must also
+// leave no spill files behind.
 func TestEngineCancelAtEveryStage(t *testing.T) {
 	for _, fx := range sessionFixtures(t) {
+		ds := pointset.MustFromSlices(fx.pts)
+		eng, err := NewEngine(fx.cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.ClusterDataset(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(fx.name, func(t *testing.T) {
-			ds := pointset.MustFromSlices(fx.pts)
-			eng, err := NewEngine(fx.cfg, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := eng.ClusterDataset(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, target := range pipelineStages {
-				if target == StageFold {
-					continue // sessions only; exercised below
-				}
-				t.Run(target, func(t *testing.T) {
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					SetStageHook(func(st string) {
-						if st == target {
-							cancel()
-						}
-					})
-					_, err := eng.ClusterDatasetContext(ctx, ds)
-					SetStageHook(nil)
-					if err == nil {
-						t.Fatalf("cancel at %s: no error", target)
-					}
-					if !errors.Is(err, grid.ErrCanceled) || !errors.Is(err, context.Canceled) {
-						t.Fatalf("cancel at %s: error %v not tagged ErrCanceled/context.Canceled", target, err)
-					}
-					got, err := eng.ClusterDataset(ds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertResultsEqual(t, want, got)
-				})
-			}
-
-			// A deadline-expired context classifies as ErrDeadlineExceeded.
-			ctx, cancel := context.WithTimeout(context.Background(), -1)
-			defer cancel()
-			if _, err := eng.ClusterDatasetContext(ctx, ds); !errors.Is(err, grid.ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("expired deadline: error %v not tagged ErrDeadlineExceeded", err)
-			}
+			assertCancelAtEveryStage(t, want, func(t *testing.T, ctx context.Context) (*Result, error) {
+				return eng.ClusterDatasetContext(ctx, ds)
+			})
 		})
+		t.Run(strings.TrimSuffix(fx.name, "/flat")+"/packed", func(t *testing.T) {
+			tmp := t.TempDir()
+			assertCancelAtEveryStage(t, want, func(t *testing.T, ctx context.Context) (*Result, error) {
+				res, err := eng.ClusterDatasetExternal(ctx, ds, ExternalOptions{
+					ChunkPoints: 97,
+					SpillBytes:  1,
+					TempDir:     tmp,
+				})
+				entries, rerr := os.ReadDir(tmp)
+				if rerr != nil {
+					t.Fatal(rerr)
+				}
+				if len(entries) != 0 {
+					t.Fatalf("%d leaked spill entries", len(entries))
+				}
+				return res, err
+			})
+		})
+	}
+}
+
+// assertCancelAtEveryStage cancels run at every stage boundary of the
+// one-shot pipeline, requires an ErrCanceled-tagged error each time and an
+// uncancelled rerun equal to want, then requires an expired deadline to
+// classify as ErrDeadlineExceeded.
+func assertCancelAtEveryStage(t *testing.T, want *Result, run func(*testing.T, context.Context) (*Result, error)) {
+	t.Helper()
+	for _, target := range pipelineStages {
+		if target == StageFold {
+			continue // sessions only; exercised below
+		}
+		t.Run(target, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			SetStageHook(func(st string) {
+				if st == target {
+					cancel()
+				}
+			})
+			_, err := run(t, ctx)
+			SetStageHook(nil)
+			if err == nil {
+				t.Fatalf("cancel at %s: no error", target)
+			}
+			if !errors.Is(err, grid.ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancel at %s: error %v not tagged ErrCanceled/context.Canceled", target, err)
+			}
+			got, err := run(t, context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsEqual(t, want, got)
+		})
+	}
+
+	// A deadline-expired context classifies as ErrDeadlineExceeded.
+	ctx, cancel := context.WithTimeout(context.Background(), -1)
+	defer cancel()
+	if _, err := run(t, ctx); !errors.Is(err, grid.ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired deadline: error %v not tagged ErrDeadlineExceeded", err)
 	}
 }
 

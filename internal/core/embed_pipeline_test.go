@@ -35,60 +35,54 @@ func embedEquivCases() []struct {
 // TestEmbeddingMatchesManualProjection is the embedding equivalence gate:
 // clustering raw rows through a configured embedding must reproduce, bit
 // for bit, clustering the manually projected rows without one — the embed
-// stage is a pure front-end, with the packed and flat grid representations
-// agreeing as always.
+// stage is a pure front-end. The "/flat" suffix names the grid
+// representation; it is the only one, and the suffix keeps the subtest
+// names stable.
 func TestEmbeddingMatchesManualProjection(t *testing.T) {
 	for _, tc := range embedEquivCases() {
-		for _, packed := range []bool{false, true} {
-			name := tc.name + "/flat"
-			if packed {
-				name = tc.name + "/packed"
+		t.Run(tc.name+"/flat", func(t *testing.T) {
+			base := DefaultConfig()
+			base.Scale = 64
+
+			emb, err := embed.New(tc.spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				base := DefaultConfig()
-				base.Scale = 64
-				base.PackedCells = packed
+			if err := emb.Fit(tc.ds); err != nil {
+				t.Fatal(err)
+			}
+			pds, err := emb.Transform(tc.ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := NewEngine(base, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.ClusterDataset(pds)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				emb, err := embed.New(tc.spec)
-				if err != nil {
-					t.Fatal(err)
+			cfg := base
+			cfg.Embedding = tc.spec
+			eng, err := NewEngine(cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.ClusterDataset(tc.ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumClusters != want.NumClusters || got.Threshold != want.Threshold {
+				t.Fatalf("got %d clusters at %v, want %d at %v", got.NumClusters, got.Threshold, want.NumClusters, want.Threshold)
+			}
+			for i := range want.Labels {
+				if got.Labels[i] != want.Labels[i] {
+					t.Fatalf("label %d: got %d, want %d", i, got.Labels[i], want.Labels[i])
 				}
-				if err := emb.Fit(tc.ds); err != nil {
-					t.Fatal(err)
-				}
-				pds, err := emb.Transform(tc.ds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plain, err := NewEngine(base, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := plain.ClusterDataset(pds)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				cfg := base
-				cfg.Embedding = tc.spec
-				eng, err := NewEngine(cfg, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.ClusterDataset(tc.ds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.NumClusters != want.NumClusters || got.Threshold != want.Threshold {
-					t.Fatalf("got %d clusters at %v, want %d at %v", got.NumClusters, got.Threshold, want.NumClusters, want.Threshold)
-				}
-				for i := range want.Labels {
-					if got.Labels[i] != want.Labels[i] {
-						t.Fatalf("label %d: got %d, want %d", i, got.Labels[i], want.Labels[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -135,73 +129,67 @@ func TestSessionEmbeddingRPMatchesOneShot(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 64
 	cfg.Embedding = embed.Spec{Kind: embed.KindRP, K: 3, Seed: 13}
-	for _, packed := range []bool{false, true} {
-		name := "flat"
-		if packed {
-			name = "packed"
+	// The "flat" subtest names the grid representation; it is the only one,
+	// and the subtest keeps the test name stable.
+	t.Run("flat", func(t *testing.T) {
+		eng, err := NewEngine(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			c := cfg
-			c.PackedCells = packed
-			eng, err := NewEngine(c, 2)
-			if err != nil {
+		sess := eng.NewSession()
+		for off := 0; off < ds.N; off += 333 {
+			end := off + 333
+			if end > ds.N {
+				end = ds.N
+			}
+			batch := &pointset.Dataset{Data: ds.Data[off*ds.D : end*ds.D], N: end - off, D: ds.D}
+			if err := sess.Append(batch); err != nil {
 				t.Fatal(err)
 			}
-			sess := eng.NewSession()
-			for off := 0; off < ds.N; off += 333 {
-				end := off + 333
-				if end > ds.N {
-					end = ds.N
-				}
-				batch := &pointset.Dataset{Data: ds.Data[off*ds.D : end*ds.D], N: end - off, D: ds.D}
-				if err := sess.Append(batch); err != nil {
-					t.Fatal(err)
-				}
+		}
+		want, err := eng.ClusterDataset(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sess.Labels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Labels {
+			if got[i] != want.Labels[i] {
+				t.Fatalf("label %d: got %d, want %d", i, got[i], want.Labels[i])
 			}
-			want, err := eng.ClusterDataset(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sess.Labels()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Labels {
-				if got[i] != want.Labels[i] {
-					t.Fatalf("label %d: got %d, want %d", i, got[i], want.Labels[i])
-				}
-			}
+		}
 
-			// Remove a slice from the middle; survivors must match one-shot.
-			idx := make([]int, 120)
-			for i := range idx {
-				idx[i] = 100 + i
+		// Remove a slice from the middle; survivors must match one-shot.
+		idx := make([]int, 120)
+		for i := range idx {
+			idx[i] = 100 + i
+		}
+		if err := sess.Remove(idx); err != nil {
+			t.Fatal(err)
+		}
+		surv := pointset.New(ds.D, ds.N-len(idx))
+		for i := 0; i < ds.N; i++ {
+			if i >= 100 && i < 220 {
+				continue
 			}
-			if err := sess.Remove(idx); err != nil {
-				t.Fatal(err)
+			surv.AppendRow(ds.Row(i))
+		}
+		wantAfter, err := eng.ClusterDataset(surv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotAfter, err := sess.Labels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantAfter.Labels {
+			if gotAfter[i] != wantAfter.Labels[i] {
+				t.Fatalf("label %d after removal: got %d, want %d", i, gotAfter[i], wantAfter.Labels[i])
 			}
-			surv := pointset.New(ds.D, ds.N-len(idx))
-			for i := 0; i < ds.N; i++ {
-				if i >= 100 && i < 220 {
-					continue
-				}
-				surv.AppendRow(ds.Row(i))
-			}
-			wantAfter, err := eng.ClusterDataset(surv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotAfter, err := sess.Labels()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range wantAfter.Labels {
-				if gotAfter[i] != wantAfter.Labels[i] {
-					t.Fatalf("label %d after removal: got %d, want %d", i, gotAfter[i], wantAfter.Labels[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSessionEmbeddingCheckpointRestore: a checkpoint taken from an

@@ -81,17 +81,11 @@ func (e *Engine) effectiveWorkers() int {
 
 // getGrid clones src into a pooled FlatGrid; putGrid returns it.
 func (e *Engine) getGrid(src *grid.FlatGrid) *grid.FlatGrid {
-	return src.CloneInto(e.getEmptyGrid())
-}
-
-// getEmptyGrid takes a pooled FlatGrid without copying anything into it —
-// the landing buffer for unpacking a compressed base grid.
-func (e *Engine) getEmptyGrid() *grid.FlatGrid {
 	g, _ := e.grids.Get().(*grid.FlatGrid)
 	if g == nil {
 		g = &grid.FlatGrid{}
 	}
-	return g
+	return src.CloneInto(g)
 }
 
 func (e *Engine) putGrid(g *grid.FlatGrid) { e.grids.Put(g) }
@@ -156,16 +150,6 @@ func (e *Engine) ClusterDatasetContext(ctx context.Context, ds *pointset.Dataset
 // are never modified.
 func (e *Engine) clusterFromBase(ctx context.Context, base *grid.FlatGrid, ids []int32, cfg Config, w int) (*Result, error) {
 	st := &pipeState{cfg: cfg, w: w, base: base, ids: ids}
-	return e.runStages(ctx, st, stageList[stageFromTransform:])
-}
-
-// clusterFromPacked is clusterFromBase for a block-compressed base grid,
-// the re-entry point of packed-cell Sessions and the packed external path.
-// The transform stage runs on a pooled private unpacking, so the packed
-// grid itself is never permuted, and the assignment stage streams ancestor
-// labels block by block off the compressed base directly.
-func (e *Engine) clusterFromPacked(ctx context.Context, base *grid.PackedGrid, ids []int32, cfg Config, w int) (*Result, error) {
-	st := &pipeState{cfg: cfg, w: w, pbase: base, ids: ids}
 	return e.runStages(ctx, st, stageList[stageFromTransform:])
 }
 
@@ -313,23 +297,14 @@ func dropLowCoefficientsFlat(t *grid.FlatGrid, eps float64) {
 	t.DropBelow(cut)
 }
 
-// ancestorGrid is the assignment base of a finishing pass: either
-// representation of the canonical quantization grid can map each of its
-// cells to a kept-grid ancestor label (flat: AncestorLabelsIntoCtx; packed:
-// block-parallel decode-and-lookup).
-type ancestorGrid interface {
-	AncestorLabelsCtx(ctx context.Context, dst []int32, kept *grid.FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error)
-}
-
 // finishClusteringFlat re-enters the stage list at the threshold — the
 // per-level finisher of a multi-resolution pass (threshold, components,
 // assignment on an already-transformed grid; steps 3–6 of Alg. 1). t must
 // be in canonical cell order (quantization and the full transform guarantee
 // it) and is owned by the caller; base is the canonical-order quantization
-// grid (in either representation), read-only, and ids holds each point's
-// memoized index into it.
-func (e *Engine) finishClusteringFlat(ctx context.Context, t *grid.FlatGrid, base ancestorGrid, ids []int32, levels int, cfg Config, workers int) (*Result, error) {
-	st := &pipeState{cfg: cfg, w: workers, t: t, abase: base, ids: ids, levels: levels}
+// grid, read-only, and ids holds each point's memoized index into it.
+func (e *Engine) finishClusteringFlat(ctx context.Context, t *grid.FlatGrid, base *grid.FlatGrid, ids []int32, levels int, cfg Config, workers int) (*Result, error) {
+	st := &pipeState{cfg: cfg, w: workers, t: t, base: base, ids: ids, levels: levels}
 	return e.runStages(ctx, st, stageList[stageFromThreshold:])
 }
 

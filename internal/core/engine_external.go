@@ -9,12 +9,14 @@ import (
 )
 
 // Out-of-core clustering: ClusterDatasetExternal is ClusterDatasetContext
-// with the point-side memory decoupled from the dataset size. Quantization
-// runs through the external radix sort (chunked in-memory sort, sorted runs
-// spilled to temp files, loser-tree merge — see grid.QuantizeDatasetExternalCtx)
-// and re-enters the exact post-quantization pipeline via clusterFromBase,
-// so the labels are bit-identical to the in-RAM path for every chunk size
-// and spill threshold. Pair it with a pointset.Mapped dataset and the
+// with the point-side memory decoupled from the dataset size. Only the
+// quantize stage changes: it runs the external radix sort (chunked
+// in-memory sort, sorted runs block-compressed and spilled to temp files,
+// loser-tree merge — see grid.QuantizeDatasetExternalCtx), which emits the
+// same flat canonical grid and point→cell ids as the in-RAM quantizer, and
+// every later stage is the shared pipeline clusterFromBase also runs — so
+// the labels are bit-identical to the in-RAM path for every chunk size and
+// spill threshold. Pair it with a pointset.Mapped dataset and the
 // float64 payload never touches the Go heap either: resident memory is the
 // O(points) label/memo outputs plus the configured working budget plus the
 // O(cells) grid, independent of how many points stream through.

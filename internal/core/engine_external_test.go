@@ -25,9 +25,9 @@ type extFixture struct {
 // externalFixtures returns the equivalence fixtures of the out-of-core
 // path: the paper's Fig. 2 running example, the Fig. 7 evaluation mixture,
 // and the 33-dimensional dermatology stand-in (Haar basis — long filters
-// densify high-dimensional grids). Each fixture runs with both merged-grid
-// representations: the flat path and the block-compressed one must
-// reproduce the in-RAM result bit for bit.
+// densify high-dimensional grids). The "/flat" suffix names the merged
+// grid's representation; it is the only one, and the suffix keeps the
+// subtest names stable.
 func externalFixtures(t *testing.T) []extFixture {
 	t.Helper()
 	derm, err := datasets.ByName("dermatology", 1)
@@ -37,20 +37,11 @@ func externalFixtures(t *testing.T) []extFixture {
 	haar := DefaultConfig()
 	haar.Basis = wavelet.Haar()
 	haar.Scale = 0 // automatic scale, as the high-dimensional tests use
-	base := []extFixture{
-		{"fig2", synth.RunningExampleSized(800, 1).Flat(), DefaultConfig()},
-		{"fig7", synth.Evaluation(700, 0.8, 1).Flat(), DefaultConfig()},
-		{"dermatology", pointset.MustFromSlices(derm.Points), haar},
+	return []extFixture{
+		{"fig2/flat", synth.RunningExampleSized(800, 1).Flat(), DefaultConfig()},
+		{"fig7/flat", synth.Evaluation(700, 0.8, 1).Flat(), DefaultConfig()},
+		{"dermatology/flat", pointset.MustFromSlices(derm.Points), haar},
 	}
-	out := make([]extFixture, 0, 2*len(base))
-	for _, fx := range base {
-		packed, flat := fx.cfg, fx.cfg
-		packed.PackedCells, flat.PackedCells = true, false
-		out = append(out,
-			extFixture{fx.name + "/packed", fx.ds, packed},
-			extFixture{fx.name + "/flat", fx.ds, flat})
-	}
-	return out
 }
 
 // TestClusterDatasetExternalEquivalence is the out-of-core acceptance

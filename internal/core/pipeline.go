@@ -18,11 +18,13 @@ import (
 //
 // Entry points differ only in where they enter the list: a one-shot call
 // runs it from the top, a Session re-enters at transform with its live base
-// grid, the external path swaps the quantize stage's implementation, and a
+// grid, the external path swaps the quantize stage's implementation (the
+// spill-to-disk external sort, which emits the same flat grid), and a
 // multi-resolution finisher enters at threshold with a per-level transform.
-// The stage runner emits each stage's name to the test hook and polls
-// cancellation exactly once per boundary, so hook sequences and abort
-// positions are identical to the previously fused code; the embed stage is
+// Every stage reads and writes the one in-memory grid representation,
+// grid.FlatGrid. The stage runner emits each stage's name to the test hook
+// and polls cancellation exactly once per boundary, so hook sequences and
+// abort positions are the same on every entry path; the embed stage is
 // skipped entirely (no hook emission) when no embedding is configured.
 
 // pipeState carries one clustering pass's intermediate products between
@@ -45,10 +47,8 @@ type pipeState struct {
 	// ext selects the out-of-core quantizer when non-nil.
 	ext *ExternalOptions
 
-	base           *grid.FlatGrid   // canonical base grid, flat form
-	pbase          *grid.PackedGrid // canonical base grid, packed form
-	abase          ancestorGrid     // whichever of the two assignment reads
-	ids            []int32          // memoized point→cell indexes into the base
+	base           *grid.FlatGrid // canonical base grid
+	ids            []int32        // memoized point→cell indexes into the base
 	cellsQuantized int
 
 	t          *grid.FlatGrid // transformed (and coefficient-denoised) grid
@@ -57,10 +57,6 @@ type pipeState struct {
 
 	res  *Result
 	done bool // short-circuit: remaining stages have nothing to do
-
-	// cleanups run (reverse order) when the pass finishes, success or not —
-	// pooled buffers go back even on a cancelled run.
-	cleanups []func()
 }
 
 // pipeStage is one named step of the stage list.
@@ -91,13 +87,8 @@ const (
 
 // runStages executes a contiguous slice of the stage list over st and
 // returns the finished Result. Each boundary notifies the test hook and
-// polls cancellation; registered cleanups run on every exit path.
+// polls cancellation.
 func (e *Engine) runStages(ctx context.Context, st *pipeState, stages []pipeStage) (*Result, error) {
-	defer func() {
-		for i := len(st.cleanups) - 1; i >= 0; i-- {
-			st.cleanups[i]()
-		}
-	}()
 	for _, s := range stages {
 		if s.name == StageEmbed && !st.cfg.Embedding.Enabled() {
 			continue
@@ -168,13 +159,6 @@ func (e *Engine) stageQuantize(ctx context.Context, st *pipeState) error {
 		if err != nil {
 			return err
 		}
-		if st.cfg.PackedCells {
-			// The merged grid comes out block-compressed straight from the
-			// loser-tree merge; downstream, only the transform's private
-			// unpacking is ever materialized flat.
-			st.pbase, st.ids, err = q.QuantizeDatasetExternalPackedCtx(ctx, st.ds, st.w, ext)
-			return err
-		}
 		st.base, st.ids, err = q.QuantizeDatasetExternalCtx(ctx, st.ds, st.w, ext)
 		return err
 	}
@@ -183,48 +167,26 @@ func (e *Engine) stageQuantize(ctx context.Context, st *pipeState) error {
 }
 
 // stageTransform runs the separable wavelet chain and the preliminary
-// coefficient denoising. A flat base is permuted in place and restored to
-// canonical order on every path (the Session's live grid survives an
-// abort); a packed base transforms a pooled private unpacking — the
-// promotion point where bit-packed integer masses become float64 densities
-// — and is never disturbed.
+// coefficient denoising. The base is permuted in place and restored to
+// canonical order on every path, so a Session's live grid survives an
+// abort.
 func (e *Engine) stageTransform(ctx context.Context, st *pipeState) error {
 	st.levels = st.cfg.Levels
-	if st.pbase != nil {
-		st.abase = st.pbase
-		st.cellsQuantized = st.pbase.Len()
-		u := st.pbase.UnpackInto(e.getEmptyGrid())
-		st.cleanups = append(st.cleanups, func() { e.putGrid(u) })
-		if st.cfg.Levels > 0 {
-			levels, err := grid.TransformLevelsFlatCtx(ctx, u, st.cfg.Basis, st.cfg.Levels, st.w)
-			if err != nil {
-				return err
-			}
-			st.t = levels[len(levels)-1]
-		} else {
-			// The ablation path skips the transform; u is already a private
-			// copy, so coefficient dropping can run on it directly.
-			st.t = u
+	st.cellsQuantized = st.base.Len()
+	if st.cfg.Levels > 0 {
+		levels, err := grid.TransformLevelsFlatCtx(ctx, st.base, st.cfg.Basis, st.cfg.Levels, st.w)
+		// The transform (failed, cancelled or complete) may have permuted
+		// the base mid-flight; restore the canonical order the memoized ids
+		// index into on every path.
+		st.base.SortCanonical()
+		if err != nil {
+			return err
 		}
+		st.t = levels[len(levels)-1]
 	} else {
-		st.abase = st.base
-		st.cellsQuantized = st.base.Len()
-		if st.cfg.Levels > 0 {
-			levels, err := grid.TransformLevelsFlatCtx(ctx, st.base, st.cfg.Basis, st.cfg.Levels, st.w)
-			// The transform (failed, cancelled or complete) may have
-			// permuted the base mid-flight; restore the canonical order the
-			// memoized ids index into on every path.
-			st.base.SortCanonical()
-			if err != nil {
-				return err
-			}
-			st.t = levels[len(levels)-1]
-		} else {
-			// The ablation path skips the transform; finish on a copy so
-			// the base grid (and the ids into it) survives coefficient
-			// dropping.
-			st.t = st.base.Clone()
-		}
+		// The ablation path skips the transform; finish on a copy so the
+		// base grid (and the ids into it) survives coefficient dropping.
+		st.t = st.base.Clone()
 	}
 	dropLowCoefficientsFlat(st.t, st.cfg.CoeffEpsilon)
 	return nil
@@ -288,7 +250,7 @@ func (e *Engine) stageAssign(ctx context.Context, st *pipeState) error {
 	if tbl == nil {
 		tbl = new([]int32)
 	}
-	cellLabels, err := st.abase.AncestorLabelsCtx(ctx, *tbl, st.kept, st.levels, st.keptLabels, st.w)
+	cellLabels, err := grid.AncestorLabelsIntoCtx(ctx, *tbl, st.base, st.kept, st.levels, st.keptLabels, st.w)
 	*tbl = cellLabels
 	if err != nil {
 		// The pooled table goes back even on a cancelled pass.

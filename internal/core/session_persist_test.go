@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"adawave/internal/persist"
@@ -151,58 +154,83 @@ func TestSessionCheckpointBetweenRemoveAndRead(t *testing.T) {
 	assertSessionsAgree(t, sess, restored)
 }
 
-// TestSessionCheckpointRepresentationPortable: PackedCells is a runtime
-// choice, not a durable one — a checkpoint taken under either grid
-// representation must restore under the other (the fingerprint excludes
-// the flag) and keep producing identical labels through further mutations.
-func TestSessionCheckpointRepresentationPortable(t *testing.T) {
-	packed := DefaultConfig()
-	packed.PackedCells = true
-	flat := DefaultConfig()
-	flat.PackedCells = false
-	data := synth.RunningExampleSized(400, 1)
-	for _, dir := range []struct {
-		name     string
-		from, to Config
-	}{
-		{"packed-to-flat", packed, flat},
-		{"flat-to-packed", flat, packed},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			sess, err := NewSession(dir.from, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.Append(pointset.MustFromSlices(data.Points)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sess.Labels(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.Remove([]int{10, 11, 200}); err != nil {
-				t.Fatal(err)
-			}
-			restored := checkpointRestore(t, sess, dir.to, 2)
-			assertSessionGrid(t, restored)
-			assertSessionsAgree(t, sess, restored)
-			// Both sessions keep agreeing as they mutate identically past
-			// the representation switch.
-			more := synth.RunningExampleSized(100, 2).Flat()
-			if err := sess.Append(more); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Append(more); err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.Remove([]int{0, 5}); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Remove([]int{0, 5}); err != nil {
-				t.Fatal(err)
-			}
-			assertSessionsAgree(t, sess, restored)
-		})
+// TestSessionRestoresAWG2Checkpoint: checkpoints written before the live
+// grid was flat-only carry their grid section as an AWG2 (block-compressed)
+// snapshot. testdata/session_awg2.ckpt is one, written by such a build
+// under DefaultConfig after appending synth.RunningExampleSized(400, 1),
+// reading labels, and removing points 10, 11, 200 and 517;
+// session_awg2.labels.json holds that session's labels at checkpoint time.
+// The checkpoint must restore with bit-identical labels, and the restored
+// session must keep matching a one-shot run through further mutations.
+func TestSessionRestoresAWG2Checkpoint(t *testing.T) {
+	raw, err := os.ReadFile("testdata/session_awg2.ckpt")
+	if err != nil {
+		t.Fatal(err)
 	}
+	// The grid section closes the checkpoint body: a u64 length, then the
+	// snapshot, then the 4-byte CRC trailer. Make sure it really is AWG2.
+	awg2 := false
+	for off := len(raw) - 4 - 12; off >= 0 && !awg2; off-- {
+		n := binary.LittleEndian.Uint64(raw[off:])
+		awg2 = n == uint64(len(raw)-4-off-8) && string(raw[off+8:off+12]) == "AWG2"
+	}
+	if !awg2 {
+		t.Fatal("fixture's grid section is not an AWG2 snapshot")
+	}
+	js, err := os.ReadFile("testdata/session_awg2.labels.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantLabels []int
+	if err := json.Unmarshal(js, &wantLabels); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := NewEngine(DefaultConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSession(bytes.NewReader(raw), eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Labels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(wantLabels) {
+		t.Fatalf("restored %d labels, the writing session had %d", len(got), len(wantLabels))
+	}
+	for i := range wantLabels {
+		if got[i] != wantLabels[i] {
+			t.Fatalf("label %d: restored %d, writing session %d", i, got[i], wantLabels[i])
+		}
+	}
+	assertSessionGrid(t, restored)
+
+	// Appends fold incrementally into the adopted grid and removals
+	// tombstone it; both must stay bit-identical to a one-shot run.
+	oneShot := func() {
+		t.Helper()
+		want, err := eng.ClusterDataset(restored.ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := restored.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResultsEqual(t, want, res)
+	}
+	if err := restored.Append(synth.RunningExampleSized(100, 2).Flat()); err != nil {
+		t.Fatal(err)
+	}
+	oneShot()
+	if err := restored.Remove([]int{0, 5, 300, 4000}); err != nil {
+		t.Fatal(err)
+	}
+	oneShot()
+	assertSessionGrid(t, restored)
 }
 
 // TestSessionCheckpointEmpty: an empty session (fresh, or drained by

@@ -93,36 +93,12 @@ func (q *Quantizer) QuantizeDatasetExternal(ds *pointset.Dataset, workers int, o
 // ctxCheckStride points within; a cancelled call removes its spill
 // directory before returning.
 func (q *Quantizer) QuantizeDatasetExternalCtx(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions) (*FlatGrid, []int32, error) {
-	size := q.gridSize()
-	out := NewFlat(size, 0)
-	ids, err := q.quantizeDatasetExternalInto(ctx, ds, workers, opts, flatSink{out})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, ids, nil
-}
-
-// QuantizeDatasetExternalPackedCtx is QuantizeDatasetExternalCtx emitting
-// the merged grid in the block-compressed representation: the loser-tree
-// merge streams straight into a PackedBuilder, so the uncompressed cell
-// array never materializes at any point of the external pipeline.
-func (q *Quantizer) QuantizeDatasetExternalPackedCtx(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions) (*PackedGrid, []int32, error) {
-	bld := NewPackedBuilder(q.gridSize(), -1)
-	ids, err := q.quantizeDatasetExternalInto(ctx, ds, workers, opts, packedSink{bld})
-	if err != nil {
-		return nil, nil, err
-	}
-	return bld.Grid(), ids, nil
-}
-
-// quantizeDatasetExternalInto is the shared external-sort pipeline behind
-// both representations; merged cells stream into sink in canonical order.
-func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointset.Dataset, workers int, opts ExtSortOptions, sink cellSink) ([]int32, error) {
 	d := q.Dim()
 	size := q.gridSize()
 	n := ds.N
+	out := NewFlat(size, 0)
 	if n == 0 {
-		return nil, nil
+		return out, nil, nil
 	}
 	chunkPts := opts.ChunkPoints
 	if chunkPts <= 0 {
@@ -166,7 +142,7 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 			hi = n
 		}
 		if err := CtxErr(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		nn := hi - lo
 		w := workers
@@ -199,7 +175,7 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 			shardLo[sw], shardHi[sw] = lo+slo, lo+shi
 		})
 		if err := CtxErr(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Pack, then retain or spill each shard's run, in shard order so the
 		// decision (and the run sequence the merge sees) is deterministic.
@@ -219,12 +195,12 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 					var err error
 					tmpDir, err = os.MkdirTemp(opts.TempDir, "adawave-extsort-")
 					if err != nil {
-						return nil, fmt.Errorf("grid: external sort spill dir: %w", err)
+						return nil, nil, fmt.Errorf("grid: external sort spill dir: %w", err)
 					}
 				}
 				path := filepath.Join(tmpDir, fmt.Sprintf("run-%06d.spill", len(runs)))
 				if err := writeSpillRun(path, pg); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				run.path = path
 			}
@@ -235,9 +211,9 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 	// Phase 2: loser-tree k-way merge over all runs, emitting canonical
 	// order and recording, per run, where each run-local cell landed in
 	// the merged grid.
-	remap, err := mergeExtRuns(ctx, runs, d, sink)
+	remap, err := mergeExtRuns(ctx, runs, d, out)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Phase 3: renumber the memoized point ids from run-local to canonical
@@ -252,42 +228,17 @@ func (q *Quantizer) quantizeDatasetExternalInto(ctx context.Context, ds *pointse
 		})
 	}
 	if err := CtxErr(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ids, nil
+	return out, ids, nil
 }
 
-// cellSink receives the merged cells in canonical order. The two
-// implementations are the flat grid and the packed builder; the merge only
-// ever appends a new cell or folds mass into the last one, which both
-// representations support without re-encoding.
-type cellSink interface {
-	len() int
-	appendCell(coords []uint16, mass float64)
-	addLast(mass float64)
-	lastCoords() []uint16
-}
-
-type flatSink struct{ g *FlatGrid }
-
-func (s flatSink) len() int                            { return s.g.Len() }
-func (s flatSink) appendCell(c []uint16, mass float64) { s.g.Append(c, mass) }
-func (s flatSink) addLast(mass float64)                { s.g.Vals[s.g.Len()-1] += mass }
-func (s flatSink) lastCoords() []uint16                { return s.g.CellCoords(s.g.Len() - 1) }
-
-type packedSink struct{ b *PackedBuilder }
-
-func (s packedSink) len() int                            { return s.b.Len() }
-func (s packedSink) appendCell(c []uint16, mass float64) { s.b.Append(c, mass) }
-func (s packedSink) addLast(mass float64)                { s.b.AddLast(mass) }
-func (s packedSink) lastCoords() []uint16                { return s.b.LastCoords() }
-
-// mergeExtRuns k-way merges sorted runs into sink, summing duplicate cells
+// mergeExtRuns k-way merges sorted runs into out, summing duplicate cells
 // in run order (exact: masses are integer point counts) and filling
 // remap[r][j] = merged index of run r's j-th cell. Spilled runs are
 // streamed back block by block through buffered readers; nothing beyond
-// the sink and the remap tables is materialized.
-func mergeExtRuns(ctx context.Context, runs []extRun, d int, sink cellSink) ([][]int32, error) {
+// out and the remap tables is materialized.
+func mergeExtRuns(ctx context.Context, runs []extRun, d int, out *FlatGrid) ([][]int32, error) {
 	remap := make([][]int32, len(runs))
 	streams := make([]*runStream, len(runs))
 	defer func() {
@@ -321,12 +272,12 @@ func mergeExtRuns(ctx context.Context, runs []extRun, d int, sink cellSink) ([][
 			}
 		}
 		st := streams[s]
-		m := sink.len()
-		if m > 0 && cmpCoords(sink.lastCoords(), st.cur) == 0 {
-			sink.addLast(st.curMass)
+		m := out.Len()
+		if m > 0 && cmpCoords(out.CellCoords(m-1), st.cur) == 0 {
+			out.Vals[m-1] += st.curMass
 			remap[s][st.emitted] = int32(m - 1)
 		} else {
-			sink.appendCell(st.cur, st.curMass)
+			out.Append(st.cur, st.curMass)
 			remap[s][st.emitted] = int32(m)
 		}
 		st.emitted++

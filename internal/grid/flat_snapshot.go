@@ -22,10 +22,9 @@ import (
 //	     | per block: payloadLen uint32, then the packed block payload
 //	       (see packed.go for the block layout)
 //
-// AWG1 is what FlatGrid.WriteSnapshot emits; AWG2 is the block-compressed
-// encoding PackedGrid.WriteSnapshot emits — the payload bytes are the
-// in-memory blocks verbatim, so checkpointing a packed session grid is a
-// copy, and the snapshot shrinks by the same ~3–5× as the resident grid.
+// AWG1 is what FlatGrid.WriteSnapshot emits. AWG2 is the block-compressed
+// encoding earlier builds wrote into checkpoints; it is read so their data
+// directories still restore, and no longer written.
 
 var snapshotMagic = [4]byte{'A', 'W', 'G', '1'}
 var snapshotMagic2 = [4]byte{'A', 'W', 'G', '2'}
@@ -220,52 +219,6 @@ func ReadSnapshot(r io.Reader) (*FlatGrid, error) {
 		}
 	}
 	return f, nil
-}
-
-// WriteSnapshot serializes the packed grid to w in the AWG2 snapshot
-// format: the block payloads are written verbatim behind a length prefix.
-// As with FlatGrid.WriteSnapshot, tombstone cells are swept on write (via
-// Compact, so the remaining blocks stay dense) and a non-finite mass is
-// reported as ErrUnserializableGrid.
-func (p *PackedGrid) WriteSnapshot(w io.Writer) error {
-	g := p
-	if p.tombs > 0 {
-		g, _ = p.Compact()
-	}
-	for c := g.Cursor(); c.Next(); {
-		if v := c.Mass(); math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("grid: write snapshot: cell mass %v: %w", v, ErrUnserializableGrid)
-		}
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic2[:]); err != nil {
-		return fmt.Errorf("grid: write snapshot: %w", err)
-	}
-	d := g.Dim()
-	hdr := make([]uint32, 0, 1+d)
-	hdr = append(hdr, uint32(d))
-	for _, s := range g.Size {
-		hdr = append(hdr, uint32(s))
-	}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return fmt.Errorf("grid: write snapshot header: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(g.Len())); err != nil {
-		return fmt.Errorf("grid: write snapshot header: %w", err)
-	}
-	for b := 0; b < g.blocks(); b++ {
-		pl := g.payload(b)
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(pl))); err != nil {
-			return fmt.Errorf("grid: write snapshot block: %w", err)
-		}
-		if _, err := bw.Write(pl); err != nil {
-			return fmt.Errorf("grid: write snapshot block: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("grid: write snapshot: %w", err)
-	}
-	return nil
 }
 
 // readSnapshotV2Body restores the block-encoded body of an AWG2 snapshot,

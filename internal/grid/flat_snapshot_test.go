@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -132,6 +133,23 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
+	// AWG2, the block-compressed encoding earlier builds checkpointed:
+	// integer masses, raw float64 masses, and a multi-block grid.
+	frac := NewFlat([]int{4, 4, 4}, 2)
+	frac.Append([]uint16{0, 1, 2}, 0.5)
+	frac.Append([]uint16{3, 3, 0}, 1.25)
+	for _, p := range []*PackedGrid{
+		PackFlat(g),
+		PackFlat(frac),
+		PackFlat(randomPackedGrid(rand.New(rand.NewSource(4)), packedBlockCells+5, 2, 256, 1.0)),
+	} {
+		var v2 bytes.Buffer
+		if err := p.WriteSnapshot(&v2); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v2.Bytes())
+	}
+	f.Add([]byte("AWG2"))
 	f.Add(snapshotHeader([]uint32{0x10000, 0x10000, 0x10000, 0x10000}, 1<<31+1))
 	f.Add([]byte("AWG1"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,24 +1,25 @@
 package grid
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 )
 
-// Compressed cell storage: PackedGrid is the block-compressed rendering of
-// FlatGrid for grids that stay resident — a streaming session's live base
-// grid, the external sort's retained runs and merged output, and snapshots.
-// Cells are grouped into blocks of up to packedBlockCells cells; within a
-// block every coordinate is frame-of-reference coded against the block's
-// per-dimension minimum and bit-packed at the block's per-dimension width,
-// and masses — integer point counts everywhere upstream of the wavelet
-// transform — are bit-packed at the width of the block's largest count
-// instead of spending a float64 each. A block whose masses are not small
-// non-negative integers (fractional or ≥ 2³², which no quantization grid
-// produces) stores raw float64s, so the encoding is lossless for any grid.
+// Block codec: PackedGrid is the block-compressed on-disk encoding of a
+// sorted cell run — the external sort's spill-run format, and the body of
+// the AWG2 grid snapshot earlier builds wrote into checkpoints (still read,
+// no longer written). Every in-memory grid is a FlatGrid; a PackedGrid
+// exists only while a run is retained or being spilled. Cells are grouped
+// into blocks of up to packedBlockCells cells; within a block every
+// coordinate is frame-of-reference coded against the block's per-dimension
+// minimum and bit-packed at the block's per-dimension width, and masses —
+// integer point counts everywhere upstream of the wavelet transform — are
+// bit-packed at the width of the block's largest count instead of spending
+// a float64 each. A block whose masses are not small non-negative integers
+// (fractional or ≥ 2³², which no quantization grid produces) stores raw
+// float64s, so the encoding is lossless for any grid.
 //
 // The layout of one block payload (all integers little-endian):
 //
@@ -31,16 +32,10 @@ import (
 //	masses    ⌈count·massWidth ⁄ 8⌉ bytes, or count × 8 raw float64 bytes
 //
 // Sorted grids change slowly within a 4096-cell window, so the deltas pack
-// to a few bits and a typical quantization grid costs ~2–4 bytes per cell
-// against the flat 2·d+8 — the same resident budget holds 2–4× more cells.
-// The same payload bytes are the unit of the spill-run format v2 and the
-// AWG2 snapshot encoding, so spilling or checkpointing a packed grid is a
-// straight copy of its blocks.
-//
-// Cell order is the caller's, exactly like FlatGrid; every producer in this
-// package emits canonical order, which Find and the merges rely on. The
-// representation is positional: cell i of the packed grid corresponds to
-// cell i of the equivalent FlatGrid, so memoized cell ids work unchanged.
+// to a few bits and a typical quantization run costs ~2–4 bytes per cell
+// against the flat 2·d+8 — the same spill budget holds 2–4× more cells.
+// Cell order is the caller's: cell i of the packed run is cell i of the
+// FlatGrid it was packed from.
 const (
 	packedBlockCells = 4096
 
@@ -48,29 +43,25 @@ const (
 	packedMassFloats = 1
 )
 
-// PackedGrid is a block-compressed sparse grid; see the package comment
-// above for the encoding. The zero value is an empty grid with no
-// dimensions; build one with PackFlat, a PackedBuilder, or MergePackedFlatCtx.
+// PackedGrid is a block-compressed sorted cell run; see the comment above
+// for the encoding. The zero value is an empty grid with no dimensions;
+// build one with PackFlat or a PackedBuilder.
 type PackedGrid struct {
 	// Size is the number of cells along each dimension.
 	Size []int
 
-	n     int    // stored cells, tombstones included
-	tombs int    // cells whose mass is ≤ 0 (signed-mass removal tombstones)
-	data  []byte // concatenated block payloads
-	off   []uint32
+	n    int    // stored cells
+	data []byte // concatenated block payloads
+	off  []uint32
 }
 
-// Dim returns the dimensionality of the grid.
-func (p *PackedGrid) Dim() int { return len(p.Size) }
-
-// Len returns the number of stored cells (tombstones included), matching
-// FlatGrid.Len on the equivalent grid.
+// Len returns the number of stored cells, matching FlatGrid.Len on the
+// equivalent grid.
 func (p *PackedGrid) Len() int { return p.n }
 
 // Bytes returns the resident footprint of the packed representation: the
 // block payload bytes plus the block offset index. This is the quantity the
-// external sort's spill budget and the session eviction manager account.
+// external sort's spill budget accounts.
 func (p *PackedGrid) Bytes() int64 {
 	return int64(len(p.data)) + int64(len(p.off))*4 + int64(len(p.Size))*8
 }
@@ -86,21 +77,11 @@ func (p *PackedGrid) blocks() int {
 // payload returns the raw payload bytes of block b.
 func (p *PackedGrid) payload(b int) []byte { return p.data[p.off[b]:p.off[b+1]] }
 
-// Clone returns a deep copy (cheap: the payload bytes copy as one memmove).
-func (p *PackedGrid) Clone() *PackedGrid {
-	return &PackedGrid{
-		Size:  append([]int(nil), p.Size...),
-		n:     p.n,
-		tombs: p.tombs,
-		data:  append([]byte(nil), p.data...),
-		off:   append([]uint32(nil), p.off...),
-	}
-}
-
 // decodeBlockInto decodes block b into coords (count·d values) and masses
 // (count values), which must be large enough, and returns the cell count.
 // It trusts the payload — only this package writes blocks — so it performs
 // no validation; file-facing readers go through decodePackedBlock instead.
+// It is the decoder of retained (never spilled) external-sort runs.
 func (p *PackedGrid) decodeBlockInto(b int, coords []uint16, masses []float64) int {
 	d := len(p.Size)
 	pl := p.payload(b)
@@ -132,170 +113,6 @@ func (p *PackedGrid) decodeBlockInto(b int, coords []uint16, masses []float64) i
 	return count
 }
 
-// firstCell decodes only the first cell of block b into dst — the probe of
-// Find's block-level binary search.
-func (p *PackedGrid) firstCell(b int, dst []uint16) {
-	d := len(p.Size)
-	pl := p.payload(b)
-	br := bitReader{b: pl[3*d+4:]}
-	for j := 0; j < d; j++ {
-		dst[j] = binary.LittleEndian.Uint16(pl[2*j:]) + uint16(br.read(uint(pl[2*d+j])))
-	}
-}
-
-// UnpackInto decodes the whole grid into dst (reusing its capacity) and
-// returns dst — the promotion point where bit-packed integer masses become
-// the float64 densities the wavelet transform runs on.
-func (p *PackedGrid) UnpackInto(dst *FlatGrid) *FlatGrid {
-	d := len(p.Size)
-	dst.Size = append(dst.Size[:0], p.Size...)
-	if cap(dst.Coords) < p.n*d {
-		dst.Coords = make([]uint16, p.n*d)
-	}
-	dst.Coords = dst.Coords[:p.n*d]
-	if cap(dst.Vals) < p.n {
-		dst.Vals = make([]float64, p.n)
-	}
-	dst.Vals = dst.Vals[:p.n]
-	lo := 0
-	for b := 0; b < p.blocks(); b++ {
-		lo += p.decodeBlockInto(b, dst.Coords[lo*d:], dst.Vals[lo:])
-	}
-	return dst
-}
-
-// Unpack decodes the whole grid into a fresh FlatGrid.
-func (p *PackedGrid) Unpack() *FlatGrid {
-	return p.UnpackInto(&FlatGrid{})
-}
-
-// TotalMass returns the sum of all cell masses.
-func (p *PackedGrid) TotalMass() float64 {
-	var s float64
-	for c := p.Cursor(); c.Next(); {
-		s += c.Mass()
-	}
-	return s
-}
-
-// Find returns the index of the cell with the given coordinates, or −1.
-// The grid must be in canonical order, like FlatGrid.Find.
-func (p *PackedGrid) Find(coords []uint16) int {
-	nb := p.blocks()
-	if nb == 0 {
-		return 0 - 1
-	}
-	d := len(p.Size)
-	probe := make([]uint16, d)
-	// Last block whose first cell is ≤ coords.
-	lo, hi := 0, nb
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		p.firstCell(mid, probe)
-		if cmpCoords(probe, coords) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	b := lo - 1
-	if b < 0 {
-		return -1
-	}
-	bc := make([]uint16, packedBlockCells*d)
-	bm := make([]float64, packedBlockCells)
-	count := p.decodeBlockInto(b, bc, bm)
-	clo, chi := 0, count
-	for clo < chi {
-		mid := int(uint(clo+chi) >> 1)
-		if cmpCoords(bc[mid*d:(mid+1)*d], coords) < 0 {
-			clo = mid + 1
-		} else {
-			chi = mid
-		}
-	}
-	if clo < count && cmpCoords(bc[clo*d:(clo+1)*d], coords) == 0 {
-		return b*packedBlockCells + clo
-	}
-	return -1
-}
-
-// massSection locates the mass encoding of cell i: its block payload, the
-// byte offset of the mass section, the in-block index, the mode and the
-// integer width.
-func (p *PackedGrid) massSection(i int) (pl []byte, massOff, j int, mode byte, mw uint) {
-	d := len(p.Size)
-	b := i / packedBlockCells
-	j = i % packedBlockCells
-	pl = p.payload(b)
-	sumW := 0
-	for _, w := range pl[2*d : 3*d] {
-		sumW += int(w)
-	}
-	count := int(binary.LittleEndian.Uint16(pl[3*d+2:]))
-	massOff = 3*d + 4 + (count*sumW+7)/8
-	return pl, massOff, j, pl[3*d], uint(pl[3*d+1])
-}
-
-// MassAt returns the mass of cell i.
-func (p *PackedGrid) MassAt(i int) float64 {
-	pl, massOff, j, mode, mw := p.massSection(i)
-	if mode == packedMassFloats {
-		return math.Float64frombits(binary.LittleEndian.Uint64(pl[massOff+8*j:]))
-	}
-	return float64(getBits(pl[massOff:], uint64(j)*uint64(mw), mw))
-}
-
-// DecMassAt subtracts one unit of mass from cell i in place and returns the
-// new mass — the packed form of a streaming session's signed-mass removal
-// (FlatGrid: Vals[i]--). Decrementing never widens a value, so the block's
-// bit width stays valid; a cell already at zero mass stays at zero. A cell
-// reaching mass ≤ 0 becomes a tombstone, swept by the next Compact or merge.
-func (p *PackedGrid) DecMassAt(i int) float64 {
-	pl, massOff, j, mode, mw := p.massSection(i)
-	if mode == packedMassFloats {
-		old := math.Float64frombits(binary.LittleEndian.Uint64(pl[massOff+8*j:]))
-		nm := old - 1
-		binary.LittleEndian.PutUint64(pl[massOff+8*j:], math.Float64bits(nm))
-		if nm <= 0 && old > 0 {
-			p.tombs++
-		}
-		return nm
-	}
-	u := getBits(pl[massOff:], uint64(j)*uint64(mw), mw)
-	if u == 0 {
-		return 0
-	}
-	u--
-	putBits(pl[massOff:], uint64(j)*uint64(mw), mw, u)
-	if u == 0 {
-		p.tombs++
-	}
-	return float64(u)
-}
-
-// Compact returns the grid without its tombstone cells (mass ≤ 0) plus the
-// remap: remap[i] is cell i's new index, or −1 if it was swept — the packed
-// mirror of FlatGrid.Compact. A grid holding no tombstones is returned
-// unchanged with a nil remap.
-func (p *PackedGrid) Compact() (*PackedGrid, []int32) {
-	if p.tombs == 0 {
-		return p, nil
-	}
-	bld := NewPackedBuilder(p.Size, p.n-p.tombs)
-	remap := make([]int32, p.n)
-	i := 0
-	for c := p.Cursor(); c.Next(); i++ {
-		if m := c.Mass(); m > 0 {
-			remap[i] = int32(bld.Len())
-			bld.Append(c.Coords(), m)
-		} else {
-			remap[i] = -1
-		}
-	}
-	return bld.Grid(), remap
-}
-
 // PackFlat compresses f into the block representation, preserving cell
 // order (cell i of the result is cell i of f).
 func PackFlat(f *FlatGrid) *PackedGrid {
@@ -307,107 +124,8 @@ func PackFlat(f *FlatGrid) *PackedGrid {
 	return bld.Grid()
 }
 
-// PackedCursor streams a packed grid's cells in order, decoding one block
-// at a time — the iteration primitive of the merges, the external sort and
-// the snapshot writer, which never materialize the uncompressed grid. The
-// Coords view is valid until the next Next call.
-type PackedCursor struct {
-	p      *PackedGrid
-	d      int
-	i      int // current cell (global index); -1 before the first Next
-	blk    int // decoded block, -1 before the first
-	lo     int // global index of the decoded block's first cell
-	coords []uint16
-	masses []float64
-}
-
-// Cursor returns a cursor positioned before the first cell.
-func (p *PackedGrid) Cursor() *PackedCursor {
-	d := len(p.Size)
-	buf := min(p.n, packedBlockCells)
-	return &PackedCursor{
-		p: p, d: d, i: -1, blk: -1,
-		coords: make([]uint16, buf*d),
-		masses: make([]float64, buf),
-	}
-}
-
-// Next advances to the next cell, reporting whether one exists.
-func (c *PackedCursor) Next() bool {
-	c.i++
-	if c.i >= c.p.n {
-		return false
-	}
-	if b := c.i / packedBlockCells; b != c.blk {
-		c.p.decodeBlockInto(b, c.coords, c.masses)
-		c.blk, c.lo = b, b*packedBlockCells
-	}
-	return true
-}
-
-// Coords returns the current cell's coordinates (a view into the cursor's
-// decode buffer — copy it if it must outlive the next Next).
-func (c *PackedCursor) Coords() []uint16 {
-	j := c.i - c.lo
-	return c.coords[j*c.d : (j+1)*c.d]
-}
-
-// Mass returns the current cell's mass.
-func (c *PackedCursor) Mass() float64 { return c.masses[c.i-c.lo] }
-
-// AncestorLabelsCtx is AncestorLabelsIntoCtx with the packed grid as the
-// base: each worker decodes its own block range and streams the shifted
-// coordinates straight into the kept-grid lookups, so per-point assignment
-// runs off the compressed base without materializing it. Block boundaries
-// are deterministic, so the result is identical for every worker count.
-func (p *PackedGrid) AncestorLabelsCtx(ctx context.Context, dst []int32, kept *FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error) {
-	d := len(p.Size)
-	m := p.n
-	if cap(dst) < m {
-		dst = make([]int32, m)
-	}
-	out := dst[:m]
-	shift := uint(levels)
-	buf := min(m, packedBlockCells)
-	ParallelRangesCtx(ctx, p.blocks(), workers, func(_, blo, bhi int) {
-		if ctx.Err() != nil {
-			return
-		}
-		coords := make([]uint16, buf*d)
-		masses := make([]float64, buf)
-		cc := make([]uint16, d)
-		for b := blo; b < bhi; b++ {
-			if ctx.Err() != nil {
-				return
-			}
-			count := p.decodeBlockInto(b, coords, masses)
-			lo := b * packedBlockCells
-			for i := 0; i < count; i++ {
-				bc := coords[i*d : (i+1)*d]
-				for j := 0; j < d; j++ {
-					cc[j] = bc[j] >> shift
-				}
-				if k := kept.Find(cc); k >= 0 && keptLabels[k] >= 0 {
-					out[lo+i] = keptLabels[k]
-				} else {
-					out[lo+i] = -1
-				}
-			}
-		}
-	})
-	return out, CtxErr(ctx)
-}
-
-// AncestorLabelsCtx is AncestorLabelsIntoCtx as a method, so the engine's
-// finishing pass can take either representation as its assignment base.
-func (f *FlatGrid) AncestorLabelsCtx(ctx context.Context, dst []int32, kept *FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error) {
-	return AncestorLabelsIntoCtx(ctx, dst, f, kept, levels, keptLabels, workers)
-}
-
 // PackedBuilder appends cells (in the caller's order) into a growing
-// PackedGrid, sealing a block every packedBlockCells cells. The last
-// appended cell stays mutable until the next Append or Grid call, which the
-// k-way merges use to fold duplicate cells (AddLast) without re-encoding.
+// PackedGrid, sealing a block every packedBlockCells cells.
 type PackedBuilder struct {
 	g        *PackedGrid
 	d        int
@@ -418,7 +136,7 @@ type PackedBuilder struct {
 
 // NewPackedBuilder returns a builder for a grid with the given
 // per-dimension sizes; expected (≥ 0) sizes the staging buffers for grids
-// smaller than one block so tiny merges do not pay full-block scratch.
+// smaller than one block so tiny runs do not pay full-block scratch.
 func NewPackedBuilder(size []int, expected int) *PackedBuilder {
 	s := append([]int(nil), size...)
 	d := len(s)
@@ -436,9 +154,6 @@ func NewPackedBuilder(size []int, expected int) *PackedBuilder {
 	}
 }
 
-// Len returns the number of cells appended so far (sealed plus staged).
-func (b *PackedBuilder) Len() int { return b.g.n + len(b.masses) }
-
 // Append adds one cell. The caller keeps cells unique and ordered, exactly
 // as with FlatGrid.Append.
 func (b *PackedBuilder) Append(coords []uint16, mass float64) {
@@ -447,18 +162,6 @@ func (b *PackedBuilder) Append(coords []uint16, mass float64) {
 	}
 	b.coords = append(b.coords, coords...)
 	b.masses = append(b.masses, mass)
-}
-
-// AddLast adds mass to the most recently appended cell. At least one cell
-// must have been appended.
-func (b *PackedBuilder) AddLast(mass float64) {
-	b.masses[len(b.masses)-1] += mass
-}
-
-// LastCoords returns the coordinates of the most recently appended cell.
-func (b *PackedBuilder) LastCoords() []uint16 {
-	n := len(b.masses)
-	return b.coords[(n-1)*b.d : n*b.d]
 }
 
 // Grid seals any staged cells and returns the built grid. The builder must
@@ -532,89 +235,11 @@ func (b *PackedBuilder) seal() {
 			data = append(data, raw[:]...)
 		}
 	}
-	for _, v := range b.masses {
-		if v <= 0 {
-			g.tombs++
-		}
-	}
 	g.data = data
 	g.n += count
 	g.off = append(g.off, uint32(len(data)))
 	b.coords = b.coords[:0]
 	b.masses = b.masses[:0]
-}
-
-// MergePackedFlat is MergePackedFlatCtx without cancellation.
-func MergePackedFlat(live *PackedGrid, delta *FlatGrid) (*PackedGrid, []int32, []int32) {
-	merged, liveRemap, deltaRemap, _ := MergePackedFlatCtx(context.Background(), live, delta)
-	return merged, liveRemap, deltaRemap
-}
-
-// MergePackedFlatCtx is MergeFlatCtx with a packed live grid: the live side
-// streams through a block cursor and the merged result is re-packed as it
-// is emitted, so the 2-way fold of a streaming session never materializes
-// the uncompressed union. Semantics are identical to MergeFlatCtx — cells
-// merged in canonical order, duplicate masses summed, tombstones (merged
-// mass ≤ 0) dropped with a −1 remap — and the live grid is never modified,
-// so a cancelled merge leaves the session state untouched.
-func MergePackedFlatCtx(ctx context.Context, live *PackedGrid, delta *FlatGrid) (merged *PackedGrid, liveRemap, deltaRemap []int32, err error) {
-	d := len(live.Size)
-	nl, nd := live.Len(), delta.Len()
-	bld := NewPackedBuilder(live.Size, nl+nd)
-	liveRemap = make([]int32, nl)
-	deltaRemap = make([]int32, nd)
-	cur := live.Cursor()
-	haveLive := cur.Next()
-	i, j := 0, 0
-	for iter := 0; haveLive || j < nd; iter++ {
-		if iter%ctxCheckStride == ctxCheckStride-1 {
-			if err := CtxErr(ctx); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		var c int
-		switch {
-		case !haveLive:
-			c = 1
-		case j == nd:
-			c = -1
-		default:
-			c = cmpCoords(cur.Coords(), delta.Coords[j*d:(j+1)*d])
-		}
-		out := int32(bld.Len())
-		// Append before advancing the cursor: its Coords view dies with the
-		// next block decode.
-		switch {
-		case c < 0:
-			if mass := cur.Mass(); mass > 0 {
-				bld.Append(cur.Coords(), mass)
-				liveRemap[i] = out
-			} else {
-				liveRemap[i] = -1
-			}
-			i++
-			haveLive = cur.Next()
-		case c > 0:
-			if mass := delta.Vals[j]; mass > 0 {
-				bld.Append(delta.Coords[j*d:(j+1)*d], mass)
-				deltaRemap[j] = out
-			} else {
-				deltaRemap[j] = -1
-			}
-			j++
-		default:
-			if mass := cur.Mass() + delta.Vals[j]; mass > 0 {
-				bld.Append(cur.Coords(), mass)
-				liveRemap[i], deltaRemap[j] = out, out
-			} else {
-				liveRemap[i], deltaRemap[j] = -1, -1
-			}
-			i++
-			j++
-			haveLive = cur.Next()
-		}
-	}
-	return bld.Grid(), liveRemap, deltaRemap, nil
 }
 
 // --- bit-level plumbing ---------------------------------------------------
@@ -672,42 +297,6 @@ func (r *bitReader) read(bitCount uint) uint64 {
 	r.acc >>= bitCount
 	r.n -= bitCount
 	return v
-}
-
-// getBits reads a bit field at an arbitrary bit offset (random access; the
-// sequential decoders use bitReader).
-func getBits(b []byte, off uint64, bitCount uint) uint64 {
-	if bitCount == 0 {
-		return 0
-	}
-	byteOff := int(off >> 3)
-	shift := uint(off & 7)
-	nb := int((shift + bitCount + 7) / 8)
-	var v uint64
-	for i := 0; i < nb; i++ {
-		v |= uint64(b[byteOff+i]) << (8 * uint(i))
-	}
-	return (v >> shift) & (1<<bitCount - 1)
-}
-
-// putBits writes a bit field at an arbitrary bit offset, preserving the
-// neighboring bits.
-func putBits(b []byte, off uint64, bitCount uint, v uint64) {
-	if bitCount == 0 {
-		return
-	}
-	byteOff := int(off >> 3)
-	shift := uint(off & 7)
-	nb := int((shift + bitCount + 7) / 8)
-	var cur uint64
-	for i := 0; i < nb; i++ {
-		cur |= uint64(b[byteOff+i]) << (8 * uint(i))
-	}
-	mask := (uint64(1)<<bitCount - 1) << shift
-	cur = (cur &^ mask) | (v << shift)
-	for i := 0; i < nb; i++ {
-		b[byteOff+i] = byte(cur >> (8 * uint(i)))
-	}
 }
 
 // decodePackedBlock validates and decodes one block payload read from an

@@ -1,8 +1,10 @@
 package grid
 
 import (
+	"bufio"
 	"bytes"
-	"context"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -75,11 +77,62 @@ func sortCoords(cs [][]uint16) {
 	}
 }
 
+// unpack decodes p into a fresh FlatGrid through the trusting in-memory
+// block decoder, checking each block against the validating file-facing
+// decoder on the way.
+func unpack(t *testing.T, p *PackedGrid) *FlatGrid {
+	t.Helper()
+	d := len(p.Size)
+	f := NewFlat(p.Size, p.Len())
+	coords := make([]uint16, packedBlockCells*d)
+	masses := make([]float64, packedBlockCells)
+	vc := make([]uint16, packedBlockCells*d)
+	vm := make([]float64, packedBlockCells)
+	for b := 0; b < p.blocks(); b++ {
+		count := p.decodeBlockInto(b, coords, masses)
+		vcount, err := decodePackedBlock(p.payload(b), d, vc, vm)
+		if err != nil {
+			t.Fatalf("block %d: validating decoder: %v", b, err)
+		}
+		if vcount != count {
+			t.Fatalf("block %d: validating decoder saw %d cells, want %d", b, vcount, count)
+		}
+		for i := 0; i < count; i++ {
+			if cmpCoords(vc[i*d:(i+1)*d], coords[i*d:(i+1)*d]) != 0 || math.Float64bits(vm[i]) != math.Float64bits(masses[i]) {
+				t.Fatalf("block %d cell %d: decoders disagree", b, i)
+			}
+			f.Append(coords[i*d:(i+1)*d], masses[i])
+		}
+	}
+	return f
+}
+
+// WriteSnapshot serializes the packed grid to w in the AWG2 snapshot
+// format — the block payloads verbatim behind a length prefix — which
+// earlier builds wrote into checkpoints. Production code writes only AWG1;
+// this writer exists to encode the AWG2 fixtures the reader tests need.
+func (p *PackedGrid) WriteSnapshot(w io.Writer) error {
+	// bufio.Writer errors are sticky: Flush reports the first one.
+	bw := bufio.NewWriter(w)
+	bw.Write(snapshotMagic2[:])
+	hdr := []uint32{uint32(len(p.Size))}
+	for _, s := range p.Size {
+		hdr = append(hdr, uint32(s))
+	}
+	binary.Write(bw, binary.LittleEndian, hdr)
+	binary.Write(bw, binary.LittleEndian, uint64(p.Len()))
+	for b := 0; b < p.blocks(); b++ {
+		pl := p.payload(b)
+		binary.Write(bw, binary.LittleEndian, uint32(len(pl)))
+		bw.Write(pl)
+	}
+	return bw.Flush()
+}
+
 // TestPackedRoundTrip packs random grids across dimensions, sizes (within
-// one block and spanning several), and mass shapes, and checks the packed
-// form reproduces every cell bit for bit through UnpackInto, the cursor,
-// MassAt and Find — and that integer-mass grids actually compress below
-// the flat 2·d+8 bytes per cell.
+// one block and spanning several), and mass shapes, and checks both block
+// decoders reproduce every cell bit for bit — and that integer-mass grids
+// actually compress below the flat 2·d+8 bytes per cell.
 func TestPackedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 40; iter++ {
@@ -103,36 +156,10 @@ func TestPackedRoundTrip(t *testing.T) {
 		}
 		f := randomPackedGrid(rng, n, d, scale, intMass)
 		p := PackFlat(f)
-		if p.Len() != f.Len() || p.Dim() != f.Dim() {
-			t.Fatalf("iter %d: packed %d cells dim %d, want %d dim %d", iter, p.Len(), p.Dim(), f.Len(), f.Dim())
+		if p.Len() != f.Len() || len(p.Size) != f.Dim() {
+			t.Fatalf("iter %d: packed %d cells dim %d, want %d dim %d", iter, p.Len(), len(p.Size), f.Len(), f.Dim())
 		}
-		sameGrid(t, f, p.Unpack(), "unpack")
-		cur := p.Cursor()
-		for i := 0; i < f.Len(); i++ {
-			if !cur.Next() {
-				t.Fatalf("iter %d: cursor exhausted at %d", iter, i)
-			}
-			if cmpCoords(cur.Coords(), f.CellCoords(i)) != 0 {
-				t.Fatalf("iter %d: cursor cell %d coords %v, want %v", iter, i, cur.Coords(), f.CellCoords(i))
-			}
-			if math.Float64bits(cur.Mass()) != math.Float64bits(f.Vals[i]) {
-				t.Fatalf("iter %d: cursor cell %d mass %v, want %v", iter, i, cur.Mass(), f.Vals[i])
-			}
-		}
-		if cur.Next() {
-			t.Fatalf("iter %d: cursor past the end", iter)
-		}
-		for _, i := range []int{0, f.Len() / 2, f.Len() - 1} {
-			if got := p.MassAt(i); math.Float64bits(got) != math.Float64bits(f.Vals[i]) {
-				t.Fatalf("iter %d: MassAt(%d) = %v, want %v", iter, i, got, f.Vals[i])
-			}
-			if got := p.Find(f.CellCoords(i)); got != i {
-				t.Fatalf("iter %d: Find(cell %d) = %d", iter, i, got)
-			}
-		}
-		if tm, want := p.TotalMass(), f.TotalMass(); math.Abs(tm-want) > 1e-6*math.Max(1, math.Abs(want)) {
-			t.Fatalf("iter %d: total mass %v, want %v", iter, tm, want)
-		}
+		sameGrid(t, f, unpack(t, p), "unpack")
 		if intMass == 1.0 {
 			flat := int64(f.Len()) * int64(2*d+8)
 			if p.Bytes() >= flat {
@@ -142,104 +169,10 @@ func TestPackedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedFindMissing checks Find on absent cells and empty grids.
-func TestPackedFindMissing(t *testing.T) {
-	empty := PackFlat(NewFlat([]int{8, 8}, 0))
-	if got := empty.Find([]uint16{1, 1}); got != -1 {
-		t.Fatalf("empty Find = %d", got)
-	}
-	g := NewFlat([]int{8, 8}, 3)
-	g.Append([]uint16{1, 1}, 1)
-	g.Append([]uint16{4, 0}, 2)
-	g.Append([]uint16{4, 7}, 3)
-	p := PackFlat(g)
-	for _, c := range [][]uint16{{0, 0}, {1, 2}, {4, 1}, {7, 7}} {
-		if got := p.Find(c); got != -1 {
-			t.Fatalf("Find(%v) = %d, want -1", c, got)
-		}
-	}
-}
-
-// TestMergePackedFlatEquivalence checks MergePackedFlatCtx produces the
-// same merged cells and remaps as MergeFlatCtx on the flat equivalents,
-// including tombstone drops from signed-mass deltas.
-func TestMergePackedFlatEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 30; iter++ {
-		d := 1 + rng.Intn(3)
-		scale := 32
-		live := randomPackedGrid(rng, 1+rng.Intn(2*packedBlockCells), d, scale, 1.0)
-		delta := randomPackedGrid(rng, 1+rng.Intn(packedBlockCells), d, scale, 1.0)
-		// Make some delta masses negative enough to tombstone an
-		// overlapping live cell, and some exactly cancelling.
-		for j := 0; j < delta.Len(); j++ {
-			switch rng.Intn(4) {
-			case 0:
-				if i := live.Find(delta.CellCoords(j)); i >= 0 {
-					delta.Vals[j] = -live.Vals[i]
-				}
-			case 1:
-				delta.Vals[j] = -delta.Vals[j]
-			}
-		}
-		wantMerged, wantLR, wantDR := MergeFlat(live, delta)
-		p := PackFlat(live)
-		merged, lr, dr, err := MergePackedFlatCtx(context.Background(), p, delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameGrid(t, wantMerged, merged.Unpack(), "merged")
-		for i := range wantLR {
-			if lr[i] != wantLR[i] {
-				t.Fatalf("iter %d: liveRemap[%d] = %d, want %d", iter, i, lr[i], wantLR[i])
-			}
-		}
-		for i := range wantDR {
-			if dr[i] != wantDR[i] {
-				t.Fatalf("iter %d: deltaRemap[%d] = %d, want %d", iter, i, dr[i], wantDR[i])
-			}
-		}
-	}
-}
-
-// TestPackedDecMassCompact exercises the in-place decrement and the
-// tombstone sweep against the flat equivalent.
-func TestPackedDecMassCompact(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := randomPackedGrid(rng, 2*packedBlockCells+17, 2, 128, 1.0)
-	p := PackFlat(f)
-	for k := 0; k < 5000; k++ {
-		i := rng.Intn(f.Len())
-		if f.Vals[i] <= 0 {
-			continue
-		}
-		f.Vals[i]--
-		if got, want := p.DecMassAt(i), f.Vals[i]; math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("DecMassAt(%d) = %v, want %v", i, got, want)
-		}
-	}
-	wantRemap := f.Compact()
-	cp, remap := p.Compact()
-	if wantRemap == nil {
-		if remap != nil {
-			t.Fatal("packed Compact saw tombstones the flat grid did not")
-		}
-		return
-	}
-	sameGrid(t, f, cp.Unpack(), "compacted")
-	for i := range wantRemap {
-		if remap[i] != wantRemap[i] {
-			t.Fatalf("remap[%d] = %d, want %d", i, remap[i], wantRemap[i])
-		}
-	}
-	if cp2, r2 := cp.Compact(); r2 != nil || cp2 != cp {
-		t.Fatal("second Compact not a no-op")
-	}
-}
-
 // TestPackedSnapshotRoundTrip writes AWG2 snapshots and restores them
-// through the shared ReadSnapshot dispatch, including a tombstoned grid
-// (swept on write) and an unserializable one.
+// through the shared ReadSnapshot dispatch, and checks the reader applies
+// the AWG1 validation to AWG2 cells: a tombstone or a non-finite mass is
+// rejected, not restored.
 func TestPackedSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 10; iter++ {
@@ -272,7 +205,7 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 		sameGrid(t, f, got, "AWG2 round trip")
 	}
 
-	// Tombstones are swept on write.
+	// A zero-mass tombstone cell never appears in a valid snapshot.
 	g := NewFlat([]int{8, 8}, 3)
 	g.Append([]uint16{1, 1}, 2)
 	g.Append([]uint16{2, 2}, 0)
@@ -281,64 +214,18 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 	if err := PackFlat(g).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 || got.Vals[0] != 2 || got.Vals[1] != 1 {
-		t.Fatalf("tombstone sweep produced %d cells %v", got.Len(), got.Vals)
+	if _, err := ReadSnapshot(&buf); err == nil {
+		t.Fatal("AWG2 snapshot holding a tombstone restored")
 	}
 
 	// Non-finite masses are rejected, as for AWG1.
 	bad := NewFlat([]int{4}, 1)
 	bad.Append([]uint16{1}, math.NaN())
-	if err := PackFlat(bad).WriteSnapshot(&buf); err == nil {
-		t.Fatal("NaN mass serialized")
-	}
-}
-
-// TestPackedAncestorLabels checks block-parallel ancestor-label assignment
-// from the packed base matches the flat implementation at several worker
-// counts.
-func TestPackedAncestorLabels(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	base := randomPackedGrid(rng, packedBlockCells+777, 2, 256, 1.0)
-	levels := 2
-	// Build the kept grid: every distinct ancestor cell, half labelled.
-	kept := NewFlat([]int{64, 64}, 0)
-	prev := []uint16{0xffff, 0xffff}
-	for i := 0; i < base.Len(); i++ {
-		c := base.CellCoords(i)
-		a := []uint16{c[0] >> uint(levels), c[1] >> uint(levels)}
-		if cmpCoords(a, prev) != 0 {
-			if kept.Len() == 0 || cmpCoords(kept.CellCoords(kept.Len()-1), a) < 0 {
-				kept.Append(a, 1)
-			}
-			prev = a
-		}
-	}
-	keptLabels := make([]int32, kept.Len())
-	for i := range keptLabels {
-		if i%2 == 0 {
-			keptLabels[i] = int32(i / 2)
-		} else {
-			keptLabels[i] = -1
-		}
-	}
-	want, err := AncestorLabelsIntoCtx(context.Background(), nil, base, kept, levels, keptLabels, 3)
-	if err != nil {
+	buf.Reset()
+	if err := PackFlat(bad).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	p := PackFlat(base)
-	for _, workers := range []int{1, 2, 7} {
-		got, err := p.AncestorLabelsCtx(context.Background(), nil, kept, levels, keptLabels, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: label[%d] = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
+	if _, err := ReadSnapshot(&buf); err == nil {
+		t.Fatal("AWG2 snapshot holding a NaN mass restored")
 	}
 }

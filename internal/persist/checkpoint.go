@@ -118,14 +118,11 @@ type SessionState struct {
 	// meaningful only when DS.N > 0.
 	Scale      int
 	Mins, Maxs []float64
-	// Grid is the live canonical base grid; nil when DS.N == 0. Sessions
-	// running the block-compressed representation set Packed instead —
-	// exactly one of the two is non-nil for a non-empty checkpoint. Either
-	// serializes into the same length-prefixed grid section (a packed grid
-	// as the compact AWG2 snapshot), and the reader always restores a
-	// *FlatGrid: representation is a runtime choice, not a durable one.
-	Grid   *grid.FlatGrid
-	Packed *grid.PackedGrid
+	// Grid is the live canonical base grid; nil when DS.N == 0. It is
+	// written as an AWG1 grid snapshot; the reader also accepts the
+	// block-compressed AWG2 snapshot earlier builds wrote, and restores
+	// either as a *FlatGrid.
+	Grid *grid.FlatGrid
 	// Embedder is the session's fitted embedder; required when the config
 	// names an embedding and DS.N > 0 (the frame and grid live in its
 	// output space), nil otherwise. Its Spec must render to
@@ -188,7 +185,7 @@ func WriteSessionCheckpoint(w io.Writer, st *SessionState) error {
 		if err := writeFloats(cw, st.DS.Data[:n*d]); err != nil {
 			return fmt.Errorf("persist: write checkpoint rows: %w", err)
 		}
-		if len(st.IDs) != n || (st.Grid == nil && st.Packed == nil) || len(st.Mins) != g || len(st.Maxs) != g {
+		if len(st.IDs) != n || st.Grid == nil || len(st.Mins) != g || len(st.Maxs) != g {
 			return fmt.Errorf("persist: inconsistent session state: %d ids, %d mins, %d maxs for %d points", len(st.IDs), len(st.Mins), len(st.Maxs), n)
 		}
 		if err := writeU32(cw, uint32(st.Scale)); err != nil {
@@ -207,14 +204,8 @@ func WriteSessionCheckpoint(w io.Writer, st *SessionState) error {
 		// ReadSnapshot an exactly bounded sub-reader (its internal
 		// buffering must not consume past the snapshot into the trailer).
 		var gbuf bytes.Buffer
-		var gerr error
-		if st.Packed != nil {
-			gerr = st.Packed.WriteSnapshot(&gbuf)
-		} else {
-			gerr = st.Grid.WriteSnapshot(&gbuf)
-		}
-		if gerr != nil {
-			return fmt.Errorf("persist: write checkpoint grid: %w", gerr)
+		if err := st.Grid.WriteSnapshot(&gbuf); err != nil {
+			return fmt.Errorf("persist: write checkpoint grid: %w", err)
 		}
 		if err := writeU64(cw, uint64(gbuf.Len())); err != nil {
 			return fmt.Errorf("persist: write checkpoint: %w", err)

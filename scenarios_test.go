@@ -116,7 +116,9 @@ func TestImageSegmentationScenario(t *testing.T) {
 // across the facade: on the dermatology stand-in and both scenario
 // fixtures, clustering raw rows under WithEmbedding must be bit-identical
 // to manually fitting the same embedder, projecting, and clustering the
-// projected rows without one — packed and flat grids alike.
+// projected rows without one. The "/flat" suffix names the grid
+// representation; it is the only one, and the suffix keeps the subtest
+// names stable.
 func TestEmbeddingFacadeMatchesManualProjection(t *testing.T) {
 	derm, err := adawave.StandIn("dermatology", 2)
 	if err != nil {
@@ -135,52 +137,46 @@ func TestEmbeddingFacadeMatchesManualProjection(t *testing.T) {
 		{"highd64-rp", highd, adawave.RandomProjection(4, 2), 16},
 		{"image-seg", imageSeg, adawave.PCA(2), 16},
 	} {
-		for _, packed := range []bool{false, true} {
-			name := tc.name + "/flat"
-			if packed {
-				name = tc.name + "/packed"
+		t.Run(tc.name+"/flat", func(t *testing.T) {
+			ds, err := adawave.FromSlices(tc.points)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				ds, err := adawave.FromSlices(tc.points)
-				if err != nil {
-					t.Fatal(err)
+			emb, err := embed.New(tc.emb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := emb.Fit(ds); err != nil {
+				t.Fatal(err)
+			}
+			pds, err := emb.Transform(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := adawave.New(adawave.WithScale(tc.scale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.ClusterDataset(pds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := adawave.New(adawave.WithEmbedding(tc.emb), adawave.WithScale(tc.scale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.ClusterDataset(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumClusters != want.NumClusters || got.Threshold != want.Threshold {
+				t.Fatalf("got %d clusters at %v, want %d at %v", got.NumClusters, got.Threshold, want.NumClusters, want.Threshold)
+			}
+			for i := range want.Labels {
+				if got.Labels[i] != want.Labels[i] {
+					t.Fatalf("label %d: got %d, want %d", i, got.Labels[i], want.Labels[i])
 				}
-				emb, err := embed.New(tc.emb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := emb.Fit(ds); err != nil {
-					t.Fatal(err)
-				}
-				pds, err := emb.Transform(ds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plain, err := adawave.New(adawave.WithScale(tc.scale), adawave.WithPackedCells(packed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := plain.ClusterDataset(pds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := adawave.New(adawave.WithEmbedding(tc.emb), adawave.WithScale(tc.scale), adawave.WithPackedCells(packed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := c.ClusterDataset(ds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.NumClusters != want.NumClusters || got.Threshold != want.Threshold {
-					t.Fatalf("got %d clusters at %v, want %d at %v", got.NumClusters, got.Threshold, want.NumClusters, want.Threshold)
-				}
-				for i := range want.Labels {
-					if got.Labels[i] != want.Labels[i] {
-						t.Fatalf("label %d: got %d, want %d", i, got.Labels[i], want.Labels[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
