@@ -3,8 +3,9 @@
 
 GO ?= go
 
-# The perf suite behind `make bench-json`: the sequential/engine/Dataset
-# renderings of the Fig. 2 and Fig. 9 workloads, the multi-resolution pass,
+# The perf suite behind `make bench-json`: the facade (single-worker
+# engine), reused-engine and Dataset renderings of the Fig. 2 and Fig. 9
+# workloads, the multi-resolution pass (engine slices and Dataset paths),
 # noise assignment, the streaming workloads (warm Session append+relabel
 # vs. cold recluster, incremental merge throughput), the durability
 # workloads (per-mutation WAL-append overhead under both fsync policies,

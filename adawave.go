@@ -76,27 +76,37 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 func AutoScale(n, d int) int { return core.AutoScale(n, d) }
 
 // Cluster runs AdaWave on points (row-major, all rows the same length).
-// It is deterministic and does not modify points.
+// It is deterministic and does not modify points. It runs the Clusterer's
+// engine on a single worker, so its result is identical to
+// NewClusterer(cfg, workers).Cluster(points) for every worker count and
+// every basis.
 func Cluster(points [][]float64, cfg Config) (*Result, error) {
-	return core.Cluster(points, cfg)
+	return core.ClusterParallel(points, cfg, 1)
 }
 
 // ClusterMultiResolution runs AdaWave at every wavelet decomposition level
 // from 1 to maxLevels in one pass, returning one Result per level: finer
-// levels separate nearby structures, coarser levels merge them.
+// levels separate nearby structures, coarser levels merge them. cfg.Levels
+// is ignored. Like Cluster, it runs the Clusterer's engine on a single
+// worker.
 func ClusterMultiResolution(points [][]float64, cfg Config, maxLevels int) ([]*Result, error) {
-	return core.ClusterMultiResolution(points, cfg, maxLevels)
+	// Every level up to maxLevels is computed, so validate against the
+	// weakest depth requirement instead of the caller's Levels.
+	cfg.Levels = 1
+	eng, err := core.NewEngine(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return eng.ClusterMultiResolution(points, maxLevels)
 }
 
 // Clusterer is a reusable AdaWave engine: quantization, the separable
 // wavelet transform and point assignment run sharded across worker
 // goroutines over a flat struct-of-arrays grid, and scratch buffers are
 // pooled across calls. A single Clusterer is safe for concurrent Cluster
-// calls, and its output does not depend on the worker count. With a
-// dyadic-tap basis — Haar, CDF(2,2) (the default), CDF(1,3) — it matches
-// the sequential Cluster function label for label; with DB4/DB6 (whose
-// irrational taps make float accumulation order-sensitive) results can
-// differ from the sequential path within floating-point rounding.
+// calls, and its output does not depend on the worker count: it matches
+// the package-level Cluster function label for label, threshold and
+// density curve included, for every basis.
 type Clusterer struct {
 	eng              *core.Engine
 	maxResidentBytes int64

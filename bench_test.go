@@ -32,15 +32,16 @@ import (
 	"adawave/internal/wavelet"
 )
 
-// BenchmarkFig2RunningExample times AdaWave on the Fig. 1/2 running example
-// and reports the AMI the paper headline-quotes (0.76).
+// BenchmarkFig2RunningExample times the package-level Cluster facade (the
+// single-worker engine) on the Fig. 1/2 running example and reports the AMI
+// the paper headline-quotes (0.76).
 func BenchmarkFig2RunningExample(b *testing.B) {
 	ds := synth.RunningExampleSized(800, 1)
 	cfg := core.DefaultConfig()
 	var ami float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Cluster(ds.Points, cfg)
+		res, err := Cluster(ds.Points, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,12 +50,11 @@ func BenchmarkFig2RunningExample(b *testing.B) {
 	b.ReportMetric(ami, "AMI")
 }
 
-// BenchmarkEngineFig2RunningExample times the parallel flat-grid engine on
-// the exact workload of BenchmarkFig2RunningExample — the before/after pair
-// for the engine: the map-based sequential pipeline above, the
-// struct-of-arrays engine here at 1 worker (allocation win) and at
-// GOMAXPROCS workers (parallel win). The AMI metric must not move: the
-// engine is label-for-label identical to the sequential path.
+// BenchmarkEngineFig2RunningExample times a reused engine on the exact
+// workload of BenchmarkFig2RunningExample, at 1 worker and at GOMAXPROCS
+// workers (the parallel win); unlike the facade above, its pooled buffers
+// survive across calls. The AMI metric must not move: the output does not
+// depend on the worker count.
 func BenchmarkEngineFig2RunningExample(b *testing.B) {
 	ds := synth.RunningExampleSized(800, 1)
 	cfg := core.DefaultConfig()
@@ -189,11 +189,10 @@ func BenchmarkEngineDatasetFig9Roadmap(b *testing.B) {
 }
 
 // BenchmarkMultiResolution times the 5-level multi-resolution pass — the
-// workload where per-level assignment cost compounds — through the three
-// paths: the sequential map pipeline, the engine's [][]float64 adapter, and
-// the flat Dataset path whose per-level assignment is one cell pass plus a
-// table lookup per point (O(cells·log cells + n) per level instead of
-// O(n·d + n·log cells)).
+// workload where per-level assignment cost compounds — through two paths:
+// the engine's [][]float64 adapter and the flat Dataset path whose
+// per-level assignment is one cell pass plus a table lookup per point
+// (O(cells·log cells + n) per level instead of O(n·d + n·log cells)).
 func BenchmarkMultiResolution(b *testing.B) {
 	for _, w := range []struct {
 		name string
@@ -204,13 +203,6 @@ func BenchmarkMultiResolution(b *testing.B) {
 	} {
 		flat := w.ds.Flat()
 		cfg := core.DefaultConfig()
-		b.Run(w.name+"/sequential", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ClusterMultiResolution(w.ds.Points, cfg, 5); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		eng, err := core.NewEngine(cfg, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -237,7 +229,7 @@ func BenchmarkMultiResolution(b *testing.B) {
 // the O(n·k·d) stage whose nearest-centroid search shards across workers.
 func BenchmarkAssignNoiseToNearest(b *testing.B) {
 	ds := synth.Evaluation(2000, 0.75, 1)
-	res, err := core.Cluster(ds.Points, core.DefaultConfig())
+	res, err := Cluster(ds.Points, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -269,38 +261,53 @@ func BenchmarkEngineFig10Runtime(b *testing.B) {
 	}
 }
 
-// BenchmarkFlatTransform times the flat line-sweep DWT against the map
-// scatter on the same occupied cells (see BenchmarkFig5Transform for the
-// map engine's numbers).
-func BenchmarkFlatTransform(b *testing.B) {
-	ds := synth.RunningExampleSized(800, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
+// quantizeFlat runs step 1 of the pipeline on one worker: the quantizer of
+// ds at the given scale and its canonical density grid.
+func quantizeFlat(b *testing.B, ds *pointset.Dataset, scale int) (*grid.Quantizer, *grid.FlatGrid) {
+	b.Helper()
+	ctx := context.Background()
+	q, err := grid.NewQuantizerDatasetCtx(ctx, ds, scale, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := grid.FlatFromGrid(q.Quantize(ds.Points))
+	g, _, err := q.QuantizeDatasetCtx(ctx, ds, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return q, g
+}
+
+// BenchmarkFlatTransform times the line-sweep DWT of the quantized running
+// example at 1 and GOMAXPROCS workers.
+func BenchmarkFlatTransform(b *testing.B) {
+	_, f := quantizeFlat(b, synth.RunningExampleSized(800, 1).Flat(), 128)
 	basis := wavelet.CDF22()
+	ctx := context.Background()
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				grid.TransformFlat(f.Clone(), basis, workers)
+				if _, err := grid.TransformFlatCtx(ctx, f.Clone(), basis, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
-// BenchmarkQuantizationFlat times the sharded flat quantizer against the
-// map quantizer of BenchmarkQuantization on the same points.
+// BenchmarkQuantizationFlat times the sharded quantization pass alone (the
+// bounding box is computed once, outside the loop) at 1 and GOMAXPROCS
+// workers.
 func BenchmarkQuantizationFlat(b *testing.B) {
-	ds := synth.Evaluation(1000, 0.5, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
+	flat := synth.Evaluation(1000, 0.5, 1).Flat()
+	q, _ := quantizeFlat(b, flat, 128)
+	ctx := context.Background()
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f := q.QuantizeFlat(ds.Points, workers)
+				f, _, err := q.QuantizeDatasetCtx(ctx, flat, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if f.Len() == 0 {
 					b.Fatal("empty grid")
 				}
@@ -310,20 +317,19 @@ func BenchmarkQuantizationFlat(b *testing.B) {
 }
 
 // BenchmarkFig5Transform times the sparse 2-D DWT of the quantized running
-// example (the paper's Fig. 5 illustration) and reports the outlier-cell
-// reduction.
+// example (the paper's Fig. 5 illustration) on one worker and reports the
+// outlier-cell reduction.
 func BenchmarkFig5Transform(b *testing.B) {
-	ds := synth.RunningExampleSized(800, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := q.Quantize(ds.Points)
+	_, g := quantizeFlat(b, synth.RunningExampleSized(800, 1).Flat(), 128)
 	basis := wavelet.CDF22()
+	ctx := context.Background()
 	var kept int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := grid.Transform(g, basis)
+		t, err := grid.TransformFlatCtx(ctx, g, basis, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		kept = t.Len()
 	}
 	b.ReportMetric(float64(g.Len()), "cells-in")
@@ -333,12 +339,12 @@ func BenchmarkFig5Transform(b *testing.B) {
 // BenchmarkFig6Threshold times the adaptive threshold strategies on the
 // sorted density curve of the Fig. 7 data (the paper's Fig. 6).
 func BenchmarkFig6Threshold(b *testing.B) {
-	ds := synth.Evaluation(1000, 0.5, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
+	_, g := quantizeFlat(b, synth.Evaluation(1000, 0.5, 1).Flat(), 128)
+	t, err := grid.TransformFlatCtx(context.Background(), g, wavelet.CDF22(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	curve := grid.Transform(q.Quantize(ds.Points), wavelet.CDF22()).SortedDensities()
+	curve := t.SortedDensities()
 	for _, s := range []core.ThresholdStrategy{core.ThreeSegmentFit{}, core.SecondKnee{}} {
 		b.Run(s.Name(), func(b *testing.B) {
 			var idx int
@@ -371,7 +377,7 @@ func BenchmarkFig8NoiseSweep(b *testing.B) {
 	}
 	algs := []alg{
 		{"AdaWave", func(ds *synth.Dataset) ([]int, error) {
-			r, err := core.Cluster(ds.Points, core.DefaultConfig())
+			r, err := Cluster(ds.Points, core.DefaultConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -442,7 +448,7 @@ func BenchmarkTable1RealWorld(b *testing.B) {
 			}
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -486,7 +492,7 @@ func BenchmarkFig9Roadmap(b *testing.B) {
 	var ami float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Cluster(ds.Points, cfg)
+		res, err := Cluster(ds.Points, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -504,7 +510,7 @@ func BenchmarkFig10Runtime(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", ds.N()), func(b *testing.B) {
 			cfg := core.DefaultConfig()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Cluster(ds.Points, cfg); err != nil {
+				if _, err := Cluster(ds.Points, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -522,7 +528,7 @@ func BenchmarkAblationBasis(b *testing.B) {
 			cfg.Basis = basis
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -542,7 +548,7 @@ func BenchmarkAblationLevels(b *testing.B) {
 			cfg.Levels = levels
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -570,7 +576,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 			cfg.Threshold = s
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -594,7 +600,7 @@ func BenchmarkAblationConnectivity(b *testing.B) {
 			cfg.Connectivity = tc.conn
 			var ami float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -605,20 +611,18 @@ func BenchmarkAblationConnectivity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSparseVsDense compares the sparse scatter DWT against
-// the dense per-row transform on the same occupied cells — the “grid
-// labeling” memory/time trade the paper claims.
+// BenchmarkAblationSparseVsDense compares the sparse line-sweep DWT (one
+// worker) against the dense per-row transform on the same occupied cells —
+// the “grid labeling” memory/time trade the paper claims.
 func BenchmarkAblationSparseVsDense(b *testing.B) {
-	ds := synth.Evaluation(700, 0.5, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := q.Quantize(ds.Points)
+	_, g := quantizeFlat(b, synth.Evaluation(700, 0.5, 1).Flat(), 128)
 	basis := wavelet.CDF22()
 	b.Run("sparse-grid", func(b *testing.B) {
+		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			grid.Transform(g, basis)
+			if _, err := grid.TransformFlatCtx(ctx, g, basis, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("dense-rows", func(b *testing.B) {
@@ -628,8 +632,9 @@ func BenchmarkAblationSparseVsDense(b *testing.B) {
 		for r := range dense {
 			dense[r] = make([]float64, 128)
 		}
-		for k, v := range g.Cells {
-			dense[k.Coord(1)][k.Coord(0)] = v
+		for i, v := range g.Vals {
+			c := g.CellCoords(i)
+			dense[c[1]][c[0]] = v
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -650,16 +655,13 @@ func BenchmarkAblationSparseVsDense(b *testing.B) {
 	})
 }
 
-// BenchmarkQuantization times the linear-scan grid assignment (step 1).
+// BenchmarkQuantization times the whole linear-scan grid assignment (step
+// 1: bounding-box scan plus quantization) on one worker.
 func BenchmarkQuantization(b *testing.B) {
-	ds := synth.Evaluation(1000, 0.5, 1)
-	q, err := grid.NewQuantizer(ds.Points, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
+	flat := synth.Evaluation(1000, 0.5, 1).Flat()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := q.Quantize(ds.Points)
+		_, g := quantizeFlat(b, flat, 128)
 		if g.Len() == 0 {
 			b.Fatal("empty grid")
 		}
@@ -669,7 +671,7 @@ func BenchmarkQuantization(b *testing.B) {
 // BenchmarkAMI times the evaluation metric itself on a large labeling.
 func BenchmarkAMI(b *testing.B) {
 	ds := synth.Evaluation(1000, 0.5, 1)
-	res, err := core.Cluster(ds.Points, core.DefaultConfig())
+	res, err := Cluster(ds.Points, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -982,16 +984,19 @@ func BenchmarkEvictRehydrate50k(b *testing.B) {
 // cells/s over the cells both inputs carry.
 func BenchmarkMergeThroughput(b *testing.B) {
 	warm, delta := streamingFixture(b)
-	q, err := grid.NewQuantizerDataset(warm, 128, 1)
+	q, live := quantizeFlat(b, warm, 128)
+	dg, _, err := q.QuantizeDatasetCtx(context.Background(), delta, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	live, _ := q.QuantizeDataset(warm, 1)
-	dg, _ := q.QuantizeDataset(delta, 1)
 	cells := live.Len() + dg.Len()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		merged, _, _ := grid.MergeFlat(live, dg)
+		merged, _, _, err := grid.MergeFlatCtx(ctx, live, dg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if merged.Len() < live.Len() {
 			b.Fatal("merge lost cells")
 		}
@@ -1024,11 +1029,7 @@ func BenchmarkGridFootprint(b *testing.B) {
 	}
 	for _, fx := range fixtures {
 		b.Run(fx.name, func(b *testing.B) {
-			q, err := grid.NewQuantizerDataset(fx.ds, fx.scale, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, _ := q.QuantizeDataset(fx.ds, 1)
+			_, g := quantizeFlat(b, fx.ds, fx.scale)
 			var pg *grid.PackedGrid
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -1068,7 +1069,7 @@ func BenchmarkEmbedFig2(b *testing.B) {
 			var ami float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1101,7 +1102,7 @@ func BenchmarkEmbedHighDim(b *testing.B) {
 			var ami float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Cluster(ds.Points, cfg)
+				res, err := Cluster(ds.Points, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

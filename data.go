@@ -1,6 +1,7 @@
 package adawave
 
 import (
+	"adawave/internal/grid"
 	"adawave/internal/pointset"
 	"adawave/internal/synth"
 )
@@ -19,8 +20,14 @@ type Dataset = pointset.Dataset
 func NewDataset(d, capacity int) *Dataset { return pointset.New(d, capacity) }
 
 // FromSlices copies row-major points into a flat Dataset. All rows must
-// share the same length.
-func FromSlices(points [][]float64) (*Dataset, error) { return pointset.FromSlices(points) }
+// share the same length; ragged rows are reported as ErrInvalidInput.
+func FromSlices(points [][]float64) (*Dataset, error) {
+	ds, err := pointset.FromSlices(points)
+	if err != nil {
+		return nil, grid.InvalidInput(err)
+	}
+	return ds, nil
+}
 
 // LabeledDataset is a labeled point set: Labels[i] is the ground-truth
 // cluster of Points[i], or NoiseLabel for background noise. Its Flat method

@@ -33,13 +33,15 @@
 //		// label == adawave.Noise or 0 … res.NumClusters-1
 //	}
 //
-// Three point-facing engines share the same pipeline. Cluster is the
-// sequential reference. Clusterer is the parallel, allocation-lean engine
-// for one-shot requests: stages run sharded across workers over a flat
-// struct-of-arrays grid, scratch buffers are pooled, and the flat Dataset
-// entry points (ClusterDataset, ClusterMultiResolutionDataset) memoize
-// each point's grid cell during quantization. Session is the streaming
-// engine for long-lived workloads: Append and Remove mutate a live grid
+// Every point-facing entry point runs one engine. Cluster runs it on a
+// single worker and keeps nothing between calls. Clusterer is the reusable
+// form for one-shot requests: stages run sharded across workers over a
+// flat struct-of-arrays grid, scratch buffers are pooled, and the flat
+// Dataset entry points (ClusterDataset, ClusterMultiResolutionDataset)
+// memoize each point's grid cell during quantization. Its output does not
+// depend on the worker count, so Cluster and every Clusterer agree bit for
+// bit, for every basis. Session is the streaming form for long-lived
+// workloads: Append and Remove mutate a live grid
 // incrementally — a delta batch quantizes alone and merges in by cell id,
 // a removed point subtracts its mass in place — and mark the session
 // dirty; the next Labels/Result read lazily re-runs only the grid-side

@@ -14,7 +14,9 @@ import (
 //
 //	errors.Is(err, adawave.ErrInvalidInput)      the caller's data or the
 //	                                             effective configuration is at
-//	                                             fault (non-finite coordinate,
+//	                                             fault (ragged or
+//	                                             zero-dimensional rows,
+//	                                             non-finite coordinate,
 //	                                             grid too small for the
 //	                                             decomposition depth, transform
 //	                                             densified past the growth cap,

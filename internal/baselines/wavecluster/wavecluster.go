@@ -1,9 +1,11 @@
 // Package wavecluster implements the original WaveCluster algorithm
 // (Sheikholeslami, Chatterjee & Zhang, VLDB 1998): the same
 // quantize → wavelet transform → threshold → connected-components pipeline
-// as AdaWave, but with a *fixed* density threshold relative to the mean
-// cell density instead of AdaWave's adaptive elbow. It is the ancestor
-// baseline the paper ablates against (the lowest curve of Fig. 8).
+// as AdaWave, but with a *fixed* absolute density threshold (Config.Density,
+// default 5 points per transformed cell) instead of AdaWave's adaptive
+// elbow. It is the ancestor baseline the paper ablates against (the lowest
+// curve of Fig. 8). It runs on AdaWave's single-worker Engine with that
+// fixed threshold and no coefficient denoising.
 package wavecluster
 
 import (
@@ -75,5 +77,5 @@ func Cluster(points [][]float64, cfg Config) (*Result, error) {
 		MinClusterCells: 2, // drop single-cell specks, per the original
 		MinClusterMass:  0, // but no adaptive satellite suppression
 	}
-	return core.Cluster(points, ccfg)
+	return core.ClusterParallel(points, ccfg, 1)
 }

@@ -45,7 +45,7 @@ func TestWorseThanAdaWaveAtHighNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aw, err := core.Cluster(ds.Points, core.DefaultConfig())
+	aw, err := core.ClusterParallel(ds.Points, core.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,22 @@ import (
 	"adawave/internal/wavelet"
 )
 
+// cluster runs the production Engine on every processor — the pipeline
+// the facade, sessions and server run — so the paper's properties below
+// are checked on the code users execute.
+func cluster(points [][]float64, cfg Config) (*Result, error) {
+	return ClusterParallel(points, cfg, 0)
+}
+
+// clusterMultiResolution is cluster for the multi-resolution pass.
+func clusterMultiResolution(points [][]float64, cfg Config, maxLevels int) ([]*Result, error) {
+	e, err := NewEngine(cfg, 0)
+	if err != nil {
+		return nil, err
+	}
+	return e.ClusterMultiResolution(points, maxLevels)
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
@@ -31,14 +47,14 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestClusterEmptyInput(t *testing.T) {
-	if _, err := Cluster(nil, DefaultConfig()); err == nil {
+	if _, err := cluster(nil, DefaultConfig()); err == nil {
 		t.Fatal("empty input should error")
 	}
 }
 
 func TestClusterTwoBlobsNoNoise(t *testing.T) {
 	ds := synth.Blobs(2, 500, 2, 0.02, 1)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := cluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +103,7 @@ func TestAssignNoiseToNearest(t *testing.T) {
 func TestClusterSinglePointPerCell(t *testing.T) {
 	// A degenerate but legal input: all points identical.
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}}
-	res, err := Cluster(pts, DefaultConfig())
+	res, err := cluster(pts, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +119,7 @@ func TestClusterSinglePointPerCell(t *testing.T) {
 
 func TestClusterEvaluation50(t *testing.T) {
 	ds := synth.Evaluation(2000, 0.50, 7)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := cluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +132,7 @@ func TestClusterEvaluation50(t *testing.T) {
 
 func TestClusterRunningExample(t *testing.T) {
 	ds := synth.RunningExample(3)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := cluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +144,13 @@ func TestClusterRunningExample(t *testing.T) {
 
 func TestOrderInsensitivity(t *testing.T) {
 	ds := synth.Evaluation(800, 0.5, 11)
-	res1, err := Cluster(ds.Points, DefaultConfig())
+	res1, err := cluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	shuffled := ds.Clone()
 	shuffled.Shuffle(99)
-	res2, err := Cluster(shuffled.Points, DefaultConfig())
+	res2, err := cluster(shuffled.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +181,11 @@ func reorder(shuffledLabels []int, shuffled, orig *synth.Dataset) []int {
 
 func TestDeterminism(t *testing.T) {
 	ds := synth.Evaluation(500, 0.6, 21)
-	res1, err := Cluster(ds.Points, DefaultConfig())
+	res1, err := cluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Cluster(ds.Points, DefaultConfig())
+	res2, err := cluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +203,7 @@ func TestHighNoiseRobustness(t *testing.T) {
 	// At 80% noise AdaWave should still beat AMI 0.4 (the paper reports
 	// ~0.6 at 80% on the full-size dataset).
 	ds := synth.Evaluation(2000, 0.80, 13)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := cluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +215,7 @@ func TestHighNoiseRobustness(t *testing.T) {
 
 func TestResultAccessors(t *testing.T) {
 	ds := synth.Blobs(3, 200, 2, 0.02, 5)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := cluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +239,7 @@ func TestLevelsZeroSkipsTransform(t *testing.T) {
 	ds := synth.Blobs(2, 300, 2, 0.02, 9)
 	cfg := DefaultConfig()
 	cfg.Levels = 0
-	res, err := Cluster(ds.Points, cfg)
+	res, err := cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +256,7 @@ func TestAllBasesWork(t *testing.T) {
 	for _, b := range wavelet.Bases() {
 		cfg := DefaultConfig()
 		cfg.Basis = b
-		res, err := Cluster(ds.Points, cfg)
+		res, err := cluster(ds.Points, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -254,7 +270,7 @@ func TestAllBasesWork(t *testing.T) {
 func TestMultiResolution(t *testing.T) {
 	ds := synth.Evaluation(1500, 0.5, 41)
 	cfg := DefaultConfig()
-	results, err := ClusterMultiResolution(ds.Points, cfg, 3)
+	results, err := clusterMultiResolution(ds.Points, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,17 +298,17 @@ func TestMultiResolution(t *testing.T) {
 }
 
 func TestMultiResolutionMatchesCluster(t *testing.T) {
-	// Level-ℓ multi-resolution output must equal a direct Cluster run with
+	// Level-ℓ multi-resolution output must equal a direct run with
 	// Levels=ℓ.
 	ds := synth.Evaluation(600, 0.4, 51)
 	cfg := DefaultConfig()
-	multi, err := ClusterMultiResolution(ds.Points, cfg, 2)
+	multi, err := clusterMultiResolution(ds.Points, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l := 1; l <= 2; l++ {
 		cfg.Levels = l
-		direct, err := Cluster(ds.Points, cfg)
+		direct, err := cluster(ds.Points, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +324,7 @@ func TestThresholdSeparatesNoise(t *testing.T) {
 	// Most ground-truth noise should be labeled Noise, and most cluster
 	// points should not.
 	ds := synth.Evaluation(2000, 0.5, 61)
-	res, err := Cluster(ds.Points, DefaultConfig())
+	res, err := cluster(ds.Points, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

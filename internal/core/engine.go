@@ -10,10 +10,11 @@ import (
 	"adawave/internal/pointset"
 )
 
-// Engine is the parallel, allocation-lean AdaWave pipeline: quantization is
-// sharded across workers with exactly-merged per-shard accumulators, the
-// separable wavelet transform sweeps radix-sorted slice lines in parallel
-// instead of rebuilding coordinate maps, components are labeled by
+// Engine is the AdaWave pipeline — the one production implementation
+// behind the one-shot facade, the streaming Session, the out-of-core path
+// and the server. Quantization is sharded across workers with
+// exactly-merged per-shard accumulators, the separable wavelet transform
+// sweeps radix-sorted slice lines in parallel, components are labeled by
 // union-find over sorted runs, and point assignment is a single array
 // lookup per point through a memoized point→cell table. Scratch buffers are
 // pooled (radix/transform buffers in internal/grid; per-level grid clones
@@ -29,16 +30,16 @@ import (
 // ancestor label table) instead of recomputing coordinates and searching
 // per point. The [][]float64 entry points remain as thin copying adapters.
 //
-// The Engine's output does not depend on the worker count: shard merges
-// sum integer masses exactly, each transform output cell is accumulated by
-// exactly one worker in a fixed input order, and component numbering
-// reproduces the map BFS order. For bases whose filter taps are dyadic
-// rationals — Haar, CDF(2,2) (the default) and CDF(1,3) — the arithmetic
-// is exact and the Engine matches the sequential reference Cluster label
-// for label, threshold included. DB4/DB6 taps are irrational, so there the
-// two paths (and individual runs of the map-based path itself, whose
-// accumulation follows map iteration order) can differ within last-ULP
-// rounding, which can move a cell that sits exactly on the threshold.
+// The Engine's output does not depend on the worker count, for every
+// basis: shard merges sum integer masses exactly, each transform output
+// cell is accumulated by exactly one worker in a fixed input order, and
+// components are numbered by a fixed order over their cells. Its tests
+// check it label for label, threshold included, against a sequential
+// map-keyed reference implementation that lives in test code
+// (internal/oracle). For bases whose filter taps are dyadic rationals —
+// Haar, CDF(2,2) (the default) and CDF(1,3) — the arithmetic is exact, so
+// the two agree bit for bit; DB4/DB6 taps are irrational, and the
+// reference's map-order accumulation can differ in the last ULP.
 type Engine struct {
 	cfg     Config
 	workers int
@@ -101,8 +102,9 @@ func ClusterParallel(points [][]float64, cfg Config, workers int) (*Result, erro
 }
 
 // Cluster runs the parallel AdaWave pipeline on points ([][]float64
-// adapter: the rows are copied into a flat dataset first). The result is
-// identical to the sequential Cluster for the same configuration.
+// adapter: the rows are copied into a flat dataset first, and ragged rows
+// are reported as ErrInvalidInput). The result is identical to
+// ClusterDataset on the same rows.
 func (e *Engine) Cluster(points [][]float64) (*Result, error) {
 	return e.ClusterContext(context.Background(), points)
 }
@@ -117,7 +119,7 @@ func (e *Engine) ClusterContext(ctx context.Context, points [][]float64) (*Resul
 	}
 	ds, err := pointset.FromSlices(points)
 	if err != nil {
-		return nil, err
+		return nil, grid.InvalidInput(err)
 	}
 	return e.ClusterDatasetContext(ctx, ds)
 }
@@ -154,11 +156,10 @@ func (e *Engine) clusterFromBase(ctx context.Context, base *grid.FlatGrid, ids [
 }
 
 // ClusterMultiResolution runs the pipeline at every decomposition level
-// from 1 to maxLevels in a single pass ([][]float64 adapter), like the
-// sequential ClusterMultiResolution (which ignores cfg.Levels): the
-// transform chain is computed level by level, and the per-level threshold/
-// components/assignment stages — data-independent between levels — run
-// concurrently.
+// from 1 to maxLevels in a single pass ([][]float64 adapter); the engine's
+// cfg.Levels plays no part. The transform chain is computed level by
+// level, and the per-level threshold/components/assignment stages —
+// data-independent between levels — run concurrently.
 func (e *Engine) ClusterMultiResolution(points [][]float64, maxLevels int) ([]*Result, error) {
 	return e.ClusterMultiResolutionContext(context.Background(), points, maxLevels)
 }
@@ -171,7 +172,7 @@ func (e *Engine) ClusterMultiResolutionContext(ctx context.Context, points [][]f
 	}
 	ds, err := pointset.FromSlices(points)
 	if err != nil {
-		return nil, err
+		return nil, grid.InvalidInput(err)
 	}
 	return e.ClusterMultiResolutionDatasetContext(ctx, ds, maxLevels)
 }
@@ -282,7 +283,8 @@ func (e *Engine) multiResolutionFromBase(ctx context.Context, base *grid.FlatGri
 	return results[:levels], nil
 }
 
-// dropLowCoefficientsFlat mirrors dropLowCoefficients on the flat grid.
+// dropLowCoefficientsFlat implements the paper's “remove … the low value of
+// scaling coefficients”: cells below eps × (max density) are discarded.
 func dropLowCoefficientsFlat(t *grid.FlatGrid, eps float64) {
 	var maxD float64
 	for _, v := range t.Vals {
@@ -308,11 +310,12 @@ func (e *Engine) finishClusteringFlat(ctx context.Context, t *grid.FlatGrid, bas
 	return e.runStages(ctx, st, stageList[stageFromThreshold:])
 }
 
-// relabelBySizeFlat is relabelBySize on flat component labels: renumber
-// components 0…k−1 in decreasing mass order (ties by original id, which is
-// the map engine's original label) and demote components below the
-// cell-count or mass-fraction floor to −1, never demoting the heaviest.
-// It returns the per-cell new labels and the surviving cluster count.
+// relabelBySizeFlat renumbers flat component labels 0…k−1 in decreasing
+// mass order (so label 0 is always the heaviest cluster; ties by original
+// id) and demotes components below the cell-count or mass-fraction floor
+// to −1, never demoting the heaviest: a non-empty grid always yields at
+// least one cluster. It returns the per-cell new labels and the surviving
+// cluster count.
 func relabelBySizeFlat(kept *grid.FlatGrid, comp []int32, ncomp, minCells int, minMassFrac float64) ([]int32, int) {
 	cells := make([]int32, ncomp)
 	mass := grid.ComponentMasses(kept, comp, ncomp)

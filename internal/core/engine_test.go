@@ -1,65 +1,30 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 
+	"adawave/internal/core"
 	"adawave/internal/datasets"
+	"adawave/internal/oracle"
 	"adawave/internal/synth"
 	"adawave/internal/wavelet"
 )
 
-// assertResultsEqual requires the parallel engine's result to match the
-// sequential reference field for field: identical labels, threshold, curve
-// and per-stage cell counts.
-func assertResultsEqual(t *testing.T, want, got *Result) {
-	t.Helper()
-	if want.NumClusters != got.NumClusters {
-		t.Fatalf("NumClusters: want %d, got %d", want.NumClusters, got.NumClusters)
-	}
-	if want.Threshold != got.Threshold {
-		t.Fatalf("Threshold: want %v, got %v", want.Threshold, got.Threshold)
-	}
-	if want.ThresholdIndex != got.ThresholdIndex {
-		t.Fatalf("ThresholdIndex: want %d, got %d", want.ThresholdIndex, got.ThresholdIndex)
-	}
-	if want.CellsQuantized != got.CellsQuantized || want.CellsTransformed != got.CellsTransformed || want.CellsKept != got.CellsKept {
-		t.Fatalf("cell counts: want %d/%d/%d, got %d/%d/%d",
-			want.CellsQuantized, want.CellsTransformed, want.CellsKept,
-			got.CellsQuantized, got.CellsTransformed, got.CellsKept)
-	}
-	if len(want.Curve) != len(got.Curve) {
-		t.Fatalf("curve length: want %d, got %d", len(want.Curve), len(got.Curve))
-	}
-	for i := range want.Curve {
-		if want.Curve[i] != got.Curve[i] {
-			t.Fatalf("curve[%d]: want %v, got %v", i, want.Curve[i], got.Curve[i])
-		}
-	}
-	if len(want.Labels) != len(got.Labels) {
-		t.Fatalf("label count: want %d, got %d", len(want.Labels), len(got.Labels))
-	}
-	for i := range want.Labels {
-		if want.Labels[i] != got.Labels[i] {
-			t.Fatalf("label %d: want %d, got %d", i, want.Labels[i], got.Labels[i])
-		}
-	}
-}
-
 // TestEngineMatchesSequentialRunningExample is the tentpole equivalence
 // gate: on the paper's running example the parallel engine must reproduce
-// the sequential pipeline label for label at every worker count.
+// the oracle's sequential pipeline label for label at every worker count.
 func TestEngineMatchesSequentialRunningExample(t *testing.T) {
 	ds := synth.RunningExampleSized(800, 1)
-	cfg := DefaultConfig()
-	want, err := Cluster(ds.Points, cfg)
+	cfg := core.DefaultConfig()
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng, err := NewEngine(cfg, workers)
+			eng, err := core.NewEngine(cfg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +32,7 @@ func TestEngineMatchesSequentialRunningExample(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertResultsEqual(t, want, got)
+			core.AssertResultsEqual(t, want, got)
 		})
 	}
 }
@@ -80,15 +45,15 @@ func TestEngineMatchesSequentialHighDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Scale = 0
 	cfg.Basis = wavelet.Haar()
-	want, err := Cluster(ds.Points, cfg)
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		eng, err := NewEngine(cfg, workers)
+		eng, err := core.NewEngine(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +61,7 @@ func TestEngineMatchesSequentialHighDim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertResultsEqual(t, want, got)
+		core.AssertResultsEqual(t, want, got)
 	}
 }
 
@@ -104,12 +69,12 @@ func TestEngineMatchesSequentialHighDim(t *testing.T) {
 // mixture at heavy noise, where threshold selection does real work.
 func TestEngineMatchesSequentialEvaluation(t *testing.T) {
 	ds := synth.Evaluation(700, 0.8, 1)
-	cfg := DefaultConfig()
-	want, err := Cluster(ds.Points, cfg)
+	cfg := core.DefaultConfig()
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(cfg, 4)
+	eng, err := core.NewEngine(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,19 +82,20 @@ func TestEngineMatchesSequentialEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsEqual(t, want, got)
+	core.AssertResultsEqual(t, want, got)
 }
 
 // TestEngineMultiResolutionMatchesSequential checks the concurrent
-// per-level finishing stage against the sequential multi-resolution pass.
+// per-level finishing stage against the oracle's sequential
+// multi-resolution pass.
 func TestEngineMultiResolutionMatchesSequential(t *testing.T) {
 	ds := synth.RunningExampleSized(400, 1)
-	cfg := DefaultConfig()
-	want, err := ClusterMultiResolution(ds.Points, cfg, 4)
+	cfg := core.DefaultConfig()
+	want, err := oracle.ClusterMultiResolution(ds.Points, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(cfg, 4)
+	eng, err := core.NewEngine(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,21 +107,21 @@ func TestEngineMultiResolutionMatchesSequential(t *testing.T) {
 		t.Fatalf("levels: want %d, got %d", len(want), len(got))
 	}
 	for l := range want {
-		assertResultsEqual(t, want[l], got[l])
+		core.AssertResultsEqual(t, want[l], got[l])
 	}
 }
 
 // TestEngineConcurrentClusterCalls exercises one shared Engine from many
 // goroutines (the -race CI job runs this with the race detector): every
-// concurrent call must reproduce the sequential labels exactly.
+// concurrent call must reproduce the oracle's labels exactly.
 func TestEngineConcurrentClusterCalls(t *testing.T) {
 	ds := synth.RunningExampleSized(500, 1)
-	cfg := DefaultConfig()
-	want, err := Cluster(ds.Points, cfg)
+	cfg := core.DefaultConfig()
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(cfg, 2)
+	eng, err := core.NewEngine(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,19 +159,20 @@ func TestEngineConcurrentClusterCalls(t *testing.T) {
 	}
 }
 
-// TestEngineValidation mirrors the sequential entry points' error behavior.
+// TestEngineValidation: a zero config does not validate, and empty input
+// errors on every entry point.
 func TestEngineValidation(t *testing.T) {
-	if _, err := NewEngine(Config{}, 0); err == nil {
+	if _, err := core.NewEngine(core.Config{}, 0); err == nil {
 		t.Fatal("zero config must not validate")
 	}
-	eng, err := NewEngine(DefaultConfig(), 0)
+	eng, err := core.NewEngine(core.DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Cluster(nil); err == nil {
 		t.Fatal("empty input must error")
 	}
-	if _, err := ClusterParallel(nil, DefaultConfig(), 2); err == nil {
+	if _, err := core.ClusterParallel(nil, core.DefaultConfig(), 2); err == nil {
 		t.Fatal("empty input must error")
 	}
 }
@@ -213,13 +180,13 @@ func TestEngineValidation(t *testing.T) {
 // TestEngineLevelsZero covers the ablation path that skips the transform.
 func TestEngineLevelsZero(t *testing.T) {
 	ds := synth.RunningExampleSized(300, 1)
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Levels = 0
-	want, err := Cluster(ds.Points, cfg)
+	want, err := oracle.Cluster(ds.Points, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(cfg, 4)
+	eng, err := core.NewEngine(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,5 +194,5 @@ func TestEngineLevelsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsEqual(t, want, got)
+	core.AssertResultsEqual(t, want, got)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -66,12 +67,20 @@ func RunFig5(opt Options) error {
 	ds := synth.RunningExampleSized(per, opt.seed())
 
 	cfg := core.DefaultConfig()
-	q, err := grid.NewQuantizer(ds.Points, cfg.Scale)
+	ctx := context.Background()
+	flat := ds.Flat()
+	q, err := grid.NewQuantizerDatasetCtx(ctx, flat, cfg.Scale, 1)
 	if err != nil {
 		return fmt.Errorf("fig5: %w", err)
 	}
-	g := q.Quantize(ds.Points)
-	t := grid.Transform(g, cfg.Basis)
+	g, _, err := q.QuantizeDatasetCtx(ctx, flat, 1)
+	if err != nil {
+		return fmt.Errorf("fig5: %w", err)
+	}
+	t, err := grid.TransformFlatCtx(ctx, g, cfg.Basis, 1)
+	if err != nil {
+		return fmt.Errorf("fig5: %w", err)
+	}
 	t.DropBelow(cfg.CoeffEpsilon * maxDensity(t))
 
 	// “The number of points sparsely scattered (outliers) in the
@@ -96,9 +105,9 @@ func RunFig5(opt Options) error {
 // sparseCells counts occupied cells carrying less than two points' worth
 // of mass — the sparsely scattered background the paper's Fig. 5 narrates
 // (an absolute cut: cell values are densities in units of points).
-func sparseCells(g *grid.Grid) int {
+func sparseCells(g *grid.FlatGrid) int {
 	count := 0
-	for _, v := range g.Cells {
+	for _, v := range g.Vals {
 		if v < 2 {
 			count++
 		}
@@ -147,9 +156,9 @@ func RunFig7(opt Options) error {
 }
 
 // maxDensity returns the largest cell density of a grid (0 when empty).
-func maxDensity(g *grid.Grid) float64 {
+func maxDensity(g *grid.FlatGrid) float64 {
 	var mx float64
-	for _, v := range g.Cells {
+	for _, v := range g.Vals {
 		if v > mx {
 			mx = v
 		}
@@ -159,12 +168,12 @@ func maxDensity(g *grid.Grid) float64 {
 
 // isolatedCells counts occupied cells with no occupied face-neighbor — the
 // “sparsely scattered points (outliers)” of the paper's Fig. 5 narration.
-func isolatedCells(g *grid.Grid) int {
-	labels, err := grid.Components(g, grid.Faces)
+func isolatedCells(g *grid.FlatGrid) int {
+	labels, ncomp, err := grid.ComponentsFlatCtx(context.Background(), g, grid.Faces)
 	if err != nil {
 		return 0
 	}
-	sizes := make(map[int]int)
+	sizes := make([]int, ncomp)
 	for _, l := range labels {
 		sizes[l]++
 	}

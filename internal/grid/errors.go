@@ -3,9 +3,10 @@ package grid
 import "errors"
 
 // ErrInvalidInput tags failures caused by the caller's points or effective
-// configuration — non-finite coordinates, a grid too small for the requested
-// decomposition depth, a transform densified past the growth cap, a
-// connectivity that does not support the data's dimensionality. Serving
+// configuration — ragged or zero-dimensional rows, non-finite coordinates,
+// a grid too small for the requested decomposition depth, a transform
+// densified past the growth cap, a connectivity that does not support the
+// data's dimensionality. Serving
 // layers use errors.Is(err, ErrInvalidInput) to separate these (the client
 // can fix them by changing the data or the session configuration) from
 // internal faults. ErrNoPoints is its own sentinel and is not tagged.

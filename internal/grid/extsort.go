@@ -75,12 +75,6 @@ func (q *Quantizer) gridSize() []int {
 	return size
 }
 
-// QuantizeDatasetExternal is QuantizeDatasetExternalCtx without
-// cancellation.
-func (q *Quantizer) QuantizeDatasetExternal(ds *pointset.Dataset, workers int, opts ExtSortOptions) (*FlatGrid, []int32, error) {
-	return q.QuantizeDatasetExternalCtx(context.Background(), ds, workers, opts)
-}
-
 // QuantizeDatasetExternalCtx builds the same canonical density grid and
 // point→cell memo as QuantizeDatasetCtx — bit-identical cells, masses and
 // ids for every chunk size, spill threshold and worker count — while

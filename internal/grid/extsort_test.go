@@ -58,7 +58,7 @@ func sameGrid(t *testing.T, a, b *FlatGrid, label string) {
 // at several worker counts, leaving no spill files behind.
 func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 	ds := clusteredDataset(20000, 3, 42)
-	q, err := NewQuantizerDataset(ds, 64, 4)
+	q, err := NewQuantizerDatasetCtx(context.Background(), ds, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
 // unwinds with the taxonomy error and removes its spill directory.
 func TestQuantizeDatasetExternalCancel(t *testing.T) {
 	ds := clusteredDataset(50000, 2, 7)
-	q, err := NewQuantizerDataset(ds, 128, 1)
+	q, err := NewQuantizerDatasetCtx(context.Background(), ds, 128, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

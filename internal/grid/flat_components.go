@@ -6,22 +6,34 @@ import (
 	"sort"
 )
 
-// ComponentsFlat labels the cells of f with consecutive component ids
-// starting at 0 under the chosen connectivity, returning one label per cell
-// index plus the component count. It is the flat counterpart of Components:
-// instead of BFS over map probes it unions sorted-adjacent cells (one
-// sorted pass per dimension for Faces; binary search per offset for Full)
-// and then numbers the components in Key byte order of their first cell —
-// exactly the order the map BFS assigns ids in, so the two labelings agree
-// cell for cell. f's cell order is left untouched.
-func ComponentsFlat(f *FlatGrid, conn Connectivity) ([]int32, int, error) {
-	return ComponentsFlatCtx(context.Background(), f, conn)
-}
+// Connectivity selects which cells count as neighbors during
+// connected-component labeling.
+type Connectivity int
 
-// ComponentsFlatCtx is ComponentsFlat with cooperative cancellation, polled
-// between the per-dimension union passes (Faces), every ctxCheckStride cells
-// of the neighbor enumeration (Full), and before the final numbering pass.
-// f is never modified, so a cancelled run has no side effects.
+const (
+	// Faces connects cells that differ by ±1 in exactly one dimension
+	// (2d neighbors; 4-connectivity in 2-D). This is the default and the
+	// only option that scales to high dimension.
+	Faces Connectivity = iota
+	// Full connects cells that differ by at most 1 in every dimension
+	// (3ᵈ−1 neighbors; 8-connectivity in 2-D). Limited to d ≤ 8.
+	Full
+)
+
+// maxFullDim bounds Full connectivity: 3⁸−1 = 6560 neighbor offsets is the
+// largest fan-out we allow per cell.
+const maxFullDim = 8
+
+// ComponentsFlatCtx labels the cells of f with consecutive component ids
+// starting at 0 under the chosen connectivity, returning one label per cell
+// index plus the component count. It unions sorted-adjacent cells (one
+// sorted pass per dimension for Faces; binary search per offset for Full)
+// and then numbers the components in keyByteLess order of their smallest
+// cell, so the labeling depends only on the occupied cell set. f's cell
+// order is left untouched. Cancellation is polled between the
+// per-dimension union passes (Faces), every ctxCheckStride cells of the
+// neighbor enumeration (Full), and before the final numbering pass; f is
+// never modified, so a cancelled run has no side effects.
 func ComponentsFlatCtx(ctx context.Context, f *FlatGrid, conn Connectivity) ([]int32, int, error) {
 	d := f.Dim()
 	m := f.Len()
@@ -155,8 +167,7 @@ func ComponentsFlatCtx(ctx context.Context, f *FlatGrid, conn Connectivity) ([]i
 		}
 	}
 
-	// Number components by the Key byte order of their first cell, matching
-	// the map BFS visit order.
+	// Number components in keyByteLess order of their smallest cell.
 	if err := CtxErr(ctx); err != nil {
 		return nil, 0, err
 	}
@@ -184,8 +195,8 @@ func ComponentsFlatCtx(ctx context.Context, f *FlatGrid, conn Connectivity) ([]i
 	return labels, int(next), nil
 }
 
-// ComponentMasses returns the total density mass of each component label
-// (flat counterpart of ComponentSizes), summed in cell order.
+// ComponentMasses returns the total density mass of each component label,
+// summed in cell order.
 func ComponentMasses(f *FlatGrid, labels []int32, ncomp int) []float64 {
 	out := make([]float64, ncomp)
 	for i, l := range labels {

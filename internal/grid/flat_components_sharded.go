@@ -13,8 +13,8 @@ import (
 // boundary is discovered exactly like an interior one — boundary stitching
 // is free), and one sequential union-find pass folds all edge lists
 // together. The final numbering pass is shared with ComponentsFlatCtx, so
-// the labels agree with the map BFS — and with the sequential flat path —
-// cell for cell, at every worker count.
+// the labels agree with the sequential flat path cell for cell, at every
+// worker count.
 
 // isCanonical reports whether f's cells are in strictly increasing
 // canonical order (the order quantization and the full transform emit).
@@ -172,9 +172,9 @@ func ComponentsFlatShardedCtx(ctx context.Context, f *FlatGrid, conn Connectivit
 		return nil, 0, err
 	}
 
-	// Phase 3: number components by the Key byte order of their first
-	// cell, exactly like ComponentsFlatCtx, so the two paths and the map
-	// BFS agree label for label.
+	// Phase 3: number components in keyByteLess order of their smallest
+	// cell, exactly like ComponentsFlatCtx, so the two paths agree label
+	// for label.
 	perm := make([]int32, m)
 	for i := range perm {
 		perm[i] = int32(i)

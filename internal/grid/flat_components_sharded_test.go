@@ -11,17 +11,18 @@ import (
 func randomCanonicalGrid(t *testing.T, d, size, cells int, seed int64) *FlatGrid {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := New(make([]int, d))
-	for j := range g.Size {
-		g.Size[j] = size
+	sizes := make([]int, d)
+	for j := range sizes {
+		sizes[j] = size
 	}
+	cs := newCellSet(sizes...)
 	coords := make([]int, d)
-	for len(g.Cells) < cells {
+	for len(cs.idx) < cells {
 		// Seed a clump center, then a short random walk from it.
 		for j := range coords {
 			coords[j] = rng.Intn(size)
 		}
-		g.Cells[MakeKey(coords)] = 1
+		cs.add(coords, 1)
 		for s := 0; s < 6; s++ {
 			j := rng.Intn(d)
 			coords[j] += rng.Intn(3) - 1
@@ -31,10 +32,10 @@ func randomCanonicalGrid(t *testing.T, d, size, cells int, seed int64) *FlatGrid
 			if coords[j] >= size {
 				coords[j] = size - 1
 			}
-			g.Cells[MakeKey(coords)] = 1
+			cs.add(coords, 1)
 		}
 	}
-	return FlatFromGrid(g)
+	return cs.grid()
 }
 
 // TestComponentsFlatShardedMatchesSequential: the range-parallel labeling

@@ -2,25 +2,19 @@ package grid
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
 	"adawave/internal/pointset"
 )
 
-// NewQuantizerDataset computes the quantizer of a flat row-major dataset:
-// the bounding-box scan reads strided rows out of one backing slice instead
-// of chasing a pointer per point. The scan is sharded across workers with
-// exact min/max merging, and non-finite coordinates are reported for the
-// lowest offending point index, so the result (and any error) is identical
-// to NewQuantizer on the same points for every worker count.
-func NewQuantizerDataset(ds *pointset.Dataset, scale, workers int) (*Quantizer, error) {
-	return NewQuantizerDatasetCtx(context.Background(), ds, scale, workers)
-}
-
-// NewQuantizerDatasetCtx is NewQuantizerDataset with cooperative
-// cancellation: every bounding-box shard polls ctx at its boundary (and
-// every ctxCheckStride points within), and a cancelled scan returns the
-// taxonomy error of CtxErr without building a quantizer.
+// NewQuantizerDatasetCtx computes the quantizer of a flat row-major
+// dataset: the bounding-box scan reads strided rows out of one backing
+// slice and is sharded across workers with exact min/max merging, and
+// non-finite coordinates are reported for the lowest offending point index,
+// so the result (and any error) is identical for every worker count. Every
+// shard polls ctx at its boundary (and every ctxCheckStride points within),
+// and a cancelled scan returns the taxonomy error of CtxErr without
+// building a quantizer.
 func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, workers int) (*Quantizer, error) {
 	if ds == nil || ds.N == 0 {
 		return nil, ErrNoPoints
@@ -30,7 +24,7 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 	}
 	d := ds.D
 	if d == 0 {
-		return nil, fmt.Errorf("grid: zero-dimensional points")
+		return nil, invalidInput(errors.New("grid: zero-dimensional points"))
 	}
 	n := ds.N
 	if workers <= 1 || n < parallelCellCutoff {
@@ -58,25 +52,22 @@ func NewQuantizerDatasetCtx(ctx context.Context, ds *pointset.Dataset, scale, wo
 	return finishQuantizer(states, scale, d)
 }
 
-// QuantizeDataset builds the sparse density grid of a flat dataset exactly
-// like QuantizeFlat (sharded quantization, radix sort, run-length dedupe,
-// exact k-way merge — canonical cell order, identical for every worker
-// count) and additionally memoizes every point's base-cell index: ids[i] is
-// the canonical-order index of point i's cell in the returned grid. The
-// memo costs no searches: point indices ride through the radix sort as a
-// payload, the dedupe pass stamps each point with its shard-local cell
-// number, and the shard merge renumbers those to global indices — so each
-// point's cell coordinates are computed exactly once and never recomputed
-// by an assignment pass.
-func (q *Quantizer) QuantizeDataset(ds *pointset.Dataset, workers int) (*FlatGrid, []int32) {
-	f, ids, _ := q.QuantizeDatasetCtx(context.Background(), ds, workers)
-	return f, ids
-}
-
-// QuantizeDatasetCtx is QuantizeDataset with cooperative cancellation: each
-// quantization shard polls ctx at its boundary (and every ctxCheckStride
-// points within), and a cancelled run returns before the shard merge, with
-// no grid and no memo published.
+// QuantizeDatasetCtx builds the sparse density grid of a flat dataset —
+// the paper's Algorithm 2, linear in n, storing only occupied cells. Each
+// worker quantizes a contiguous shard of points, radix-sorts and
+// run-length-dedupes its cells, and the per-shard accumulators are k-way
+// merged (summing duplicate cells) at the end; cell masses are integer
+// point counts, so the merge is exact and the grid — in canonical cell
+// order — is identical for every worker count. It additionally memoizes
+// every point's base-cell index: ids[i] is the canonical-order index of
+// point i's cell in the returned grid. The memo costs no searches: point
+// indices ride through the radix sort as a payload, the dedupe pass stamps
+// each point with its shard-local cell number, and the shard merge
+// renumbers those to global indices — so each point's cell coordinates are
+// computed exactly once and never recomputed by an assignment pass. Each
+// shard polls ctx at its boundary (and every ctxCheckStride points
+// within), and a cancelled run returns before the shard merge, with no
+// grid and no memo published.
 func (q *Quantizer) QuantizeDatasetCtx(ctx context.Context, ds *pointset.Dataset, workers int) (*FlatGrid, []int32, error) {
 	d := q.Dim()
 	size := make([]int, d)
@@ -168,7 +159,7 @@ func dedupeRunsIdx(coords []uint16, idx []int32, d int, ids []int32) ([]uint16, 
 // mergeSortedShardsInto is the one k-way merge of canonically sorted shard
 // grids: duplicate cells are summed in shard order, so the integer sums are
 // deterministic. With withMap set, remap[si][j] records where shard si's
-// cell j landed in the merged grid (QuantizeDataset renumbers its memoized
+// cell j landed in the merged grid (QuantizeDatasetCtx renumbers its memoized
 // cell ids through it); without it no remap is allocated. Nil shards —
 // ParallelRanges can produce fewer ranges than workers — are skipped.
 func mergeSortedShardsInto(shards []*FlatGrid, size []int, d int, withMap bool) (*FlatGrid, [][]int32) {
@@ -218,27 +209,16 @@ func mergeSortedShardsInto(shards []*FlatGrid, size []int, d int, withMap bool) 
 	return out, remap
 }
 
-// AncestorLabels builds the per-level assignment table: out[c] is the label
-// of base cell c's ancestor after `levels` dyadic downsamplings — the kept
-// cell whose coordinates equal the base cell's right-shifted by levels — or
-// −1 when the ancestor was filtered out or keptLabels demoted it. One pass
-// over the base cells (O(cells·(d + log cells)) via binary search in kept)
-// replaces a per-point coordinate recomputation and search.
-func AncestorLabels(base, kept *FlatGrid, levels int, keptLabels []int32, workers int) []int32 {
-	return AncestorLabelsInto(nil, base, kept, levels, keptLabels, workers)
-}
-
-// AncestorLabelsInto is AncestorLabels writing into dst (whose capacity is
-// reused) — the pooled form for per-level callers.
-func AncestorLabelsInto(dst []int32, base, kept *FlatGrid, levels int, keptLabels []int32, workers int) []int32 {
-	out, _ := AncestorLabelsIntoCtx(context.Background(), dst, base, kept, levels, keptLabels, workers)
-	return out
-}
-
-// AncestorLabelsIntoCtx is AncestorLabelsInto with cooperative cancellation:
-// each assignment shard polls ctx at its boundary (and every ctxCheckStride
-// cells within). The returned slice is always valid for pooling — on
-// cancellation its contents are unspecified and the error is non-nil.
+// AncestorLabelsIntoCtx builds the per-level assignment table into dst
+// (whose capacity is reused): out[c] is the label of base cell c's ancestor
+// after `levels` dyadic downsamplings — the kept cell whose coordinates
+// equal the base cell's right-shifted by levels — or −1 when the ancestor
+// was filtered out or keptLabels demoted it. One pass over the base cells
+// (O(cells·(d + log cells)) via binary search in kept) replaces a
+// per-point coordinate recomputation and search. Each assignment shard
+// polls ctx at its boundary (and every ctxCheckStride cells within). The
+// returned slice is always valid for pooling — on cancellation its
+// contents are unspecified and the error is non-nil.
 func AncestorLabelsIntoCtx(ctx context.Context, dst []int32, base, kept *FlatGrid, levels int, keptLabels []int32, workers int) ([]int32, error) {
 	d := base.Dim()
 	m := base.Len()

@@ -1,7 +1,8 @@
 package grid
 
 import (
-	"fmt"
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,80 +23,36 @@ func randomDataset(n, d int, seed int64) ([][]float64, *pointset.Dataset) {
 	return points, pointset.MustFromSlices(points)
 }
 
-// TestNewQuantizerDatasetMatchesSlices: the strided bounding-box scan must
-// reproduce the slice-based quantizer exactly at every worker count.
-func TestNewQuantizerDatasetMatchesSlices(t *testing.T) {
-	points, ds := randomDataset(5000, 3, 1)
-	want, err := NewQuantizer(points, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 7} {
-		got, err := NewQuantizerDataset(ds, 64, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 3; j++ {
-			if got.Mins[j] != want.Mins[j] || got.Maxs[j] != want.Maxs[j] {
-				t.Fatalf("workers=%d dim %d: bbox (%v,%v) want (%v,%v)",
-					workers, j, got.Mins[j], got.Maxs[j], want.Mins[j], want.Maxs[j])
-			}
-		}
-	}
-}
-
-// TestNewQuantizerDatasetErrors mirrors the slice constructor's validation.
+// TestNewQuantizerDatasetErrors pins the constructor's validation. A
+// non-finite coordinate is reported as ErrInvalidInput for the lowest
+// offending point, with the same message at every worker count.
 func TestNewQuantizerDatasetErrors(t *testing.T) {
+	ctx := context.Background()
 	_, ds := randomDataset(10, 2, 2)
-	if _, err := NewQuantizerDataset(nil, 8, 1); err == nil {
+	if _, err := NewQuantizerDatasetCtx(ctx, nil, 8, 1); err == nil {
 		t.Fatal("nil dataset must error")
 	}
-	if _, err := NewQuantizerDataset(&pointset.Dataset{}, 8, 1); err == nil {
+	if _, err := NewQuantizerDatasetCtx(ctx, &pointset.Dataset{}, 8, 1); err == nil {
 		t.Fatal("empty dataset must error")
 	}
-	if _, err := NewQuantizerDataset(ds, 1, 1); err == nil {
+	if _, err := NewQuantizerDatasetCtx(ctx, ds, 1, 1); err == nil {
 		t.Fatal("scale 1 must error")
 	}
 	bad := ds.Clone()
 	bad.Data[7] = math.NaN()
 	for _, workers := range []int{1, 4} {
-		if _, err := NewQuantizerDataset(bad, 8, workers); err == nil {
-			t.Fatalf("workers=%d: NaN coordinate must error", workers)
+		if _, err := NewQuantizerDatasetCtx(ctx, bad, 8, workers); !errors.Is(err, ErrInvalidInput) {
+			t.Fatalf("workers=%d: NaN coordinate must error as ErrInvalidInput, got %v", workers, err)
 		}
 	}
-}
-
-// TestQuantizeDatasetMatchesQuantizeFlat: identical grid (size, canonical
-// cell order, densities) for every worker count, plus a valid cell-id memo:
-// ids[i] must point at exactly the cell CellCoordsU16 puts point i in.
-func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
-	points, ds := randomDataset(6000, 2, 3)
-	q, err := NewQuantizer(points, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := q.QuantizeFlat(points, 1)
-	for _, workers := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, ids := q.QuantizeDataset(ds, workers)
-			if got.Len() != want.Len() {
-				t.Fatalf("cells: got %d, want %d", got.Len(), want.Len())
-			}
-			for i := 0; i < want.Len(); i++ {
-				if cmpCoords(got.CellCoords(i), want.CellCoords(i)) != 0 || got.Vals[i] != want.Vals[i] {
-					t.Fatalf("cell %d: got %v/%v, want %v/%v",
-						i, got.CellCoords(i), got.Vals[i], want.CellCoords(i), want.Vals[i])
-				}
-			}
-			coords := make([]uint16, 2)
-			for i, p := range points {
-				q.CellCoordsU16(p, coords)
-				id := int(ids[i])
-				if id < 0 || cmpCoords(got.CellCoords(id), coords) != 0 {
-					t.Fatalf("point %d: memoized cell %d does not match coords %v", i, id, coords)
-				}
-			}
-		})
+	// Parity across shard layouts, on a dataset big enough to shard.
+	_, big := randomDataset(3*parallelCellCutoff, 2, 3)
+	big.Data[2*(big.N/2)] = math.Inf(1)
+	big.Data[2*(big.N-1)] = math.NaN()
+	_, errSeq := NewQuantizerDatasetCtx(ctx, big, 64, 1)
+	_, errPar := NewQuantizerDatasetCtx(ctx, big, 64, 4)
+	if errSeq == nil || errPar == nil || errSeq.Error() != errPar.Error() {
+		t.Fatalf("non-finite error parity: 1 worker %v, 4 workers %v", errSeq, errPar)
 	}
 }
 
@@ -105,22 +62,18 @@ func TestQuantizeDatasetMatchesQuantizeFlat(t *testing.T) {
 // (regression test for a nil-dereference in the mapped shard merge).
 func TestQuantizeMoreWorkersThanRanges(t *testing.T) {
 	points, ds := randomDataset(parallelCellCutoff+1, 2, 9)
-	q, err := NewQuantizer(points, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := q.QuantizeFlat(points, 1)
+	q, want, _ := quantize(t, ds, 32)
 	for _, workers := range []int{64, 1024} {
-		flatGot := q.QuantizeFlat(points, workers)
-		got, ids := q.QuantizeDataset(ds, workers)
-		for _, g := range []*FlatGrid{flatGot, got} {
-			if g.Len() != want.Len() {
-				t.Fatalf("workers=%d: cells %d, want %d", workers, g.Len(), want.Len())
-			}
-			for i := 0; i < want.Len(); i++ {
-				if cmpCoords(g.CellCoords(i), want.CellCoords(i)) != 0 || g.Vals[i] != want.Vals[i] {
-					t.Fatalf("workers=%d: cell %d diverged", workers, i)
-				}
+		got, ids, err := q.QuantizeDatasetCtx(context.Background(), ds, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("workers=%d: cells %d, want %d", workers, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			if cmpCoords(got.CellCoords(i), want.CellCoords(i)) != 0 || got.Vals[i] != want.Vals[i] {
+				t.Fatalf("workers=%d: cell %d diverged", workers, i)
 			}
 		}
 		coords := make([]uint16, 2)
@@ -137,12 +90,8 @@ func TestQuantizeMoreWorkersThanRanges(t *testing.T) {
 // label of the kept cell whose coordinates are the base cell's shifted by
 // the level, −1 when absent or demoted.
 func TestAncestorLabels(t *testing.T) {
-	points, ds := randomDataset(4000, 2, 4)
-	q, err := NewQuantizer(points, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := q.QuantizeDataset(ds, 1)
+	_, ds := randomDataset(4000, 2, 4)
+	_, base, _ := quantize(t, ds, 64)
 	for _, levels := range []int{0, 1, 2} {
 		// A synthetic kept grid: every other ancestor of the base cells.
 		shift := uint(levels)
@@ -170,7 +119,10 @@ func TestAncestorLabels(t *testing.T) {
 			keptLabels = append(keptLabels, label)
 		}
 		for _, workers := range []int{1, 4} {
-			table := AncestorLabels(base, kept, levels, keptLabels, workers)
+			table, err := AncestorLabelsIntoCtx(context.Background(), nil, base, kept, levels, keptLabels, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for c := 0; c < base.Len(); c++ {
 				bc := base.CellCoords(c)
 				coords[0], coords[1] = bc[0]>>shift, bc[1]>>shift
@@ -190,12 +142,8 @@ func TestAncestorLabels(t *testing.T) {
 // TestSortedDensitiesInto: the pooled form must equal SortedDensities and
 // reuse the buffer's capacity.
 func TestSortedDensitiesInto(t *testing.T) {
-	points, ds := randomDataset(3000, 2, 5)
-	q, err := NewQuantizer(points, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _ := q.QuantizeDataset(ds, 1)
+	_, ds := randomDataset(3000, 2, 5)
+	_, f, _ := quantize(t, ds, 32)
 	want := f.SortedDensities()
 	buf := make([]float64, 0, f.Len())
 	got := f.SortedDensitiesInto(buf)
@@ -214,12 +162,8 @@ func TestSortedDensitiesInto(t *testing.T) {
 
 // TestCloneInto: deep copy that reuses destination capacity.
 func TestCloneInto(t *testing.T) {
-	points, ds := randomDataset(1000, 2, 6)
-	q, err := NewQuantizer(points, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _ := q.QuantizeDataset(ds, 1)
+	_, ds := randomDataset(1000, 2, 6)
+	_, f, _ := quantize(t, ds, 16)
 	dst := &FlatGrid{}
 	got := f.CloneInto(dst)
 	if got != dst {

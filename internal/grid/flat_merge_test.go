@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,23 +28,29 @@ func flatGridsIdentical(t *testing.T, want, got *FlatGrid) {
 	}
 }
 
+// mergeFlat is MergeFlatCtx without cancellation.
+func mergeFlat(t *testing.T, live, delta *FlatGrid) (*FlatGrid, []int32, []int32) {
+	t.Helper()
+	merged, liveRemap, deltaRemap, err := MergeFlatCtx(context.Background(), live, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged, liveRemap, deltaRemap
+}
+
 // TestMergeFlatMatchesUnionQuantization: quantizing a prefix and a suffix
 // separately and merging must reproduce the one-shot quantization of the
 // union bit for bit — cells, masses, order, and the remapped point ids.
 func TestMergeFlatMatchesUnionQuantization(t *testing.T) {
 	for _, split := range []int{1, 500, 2500, 4999} {
 		points, ds := randomDataset(5000, 3, 7)
-		q, err := NewQuantizerDataset(ds, 32, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantIDs := q.QuantizeDataset(ds, 1)
+		q, want, wantIDs := quantize(t, ds, 32)
 
 		a := &pointset.Dataset{Data: ds.Data[:split*ds.D], N: split, D: ds.D}
 		b := &pointset.Dataset{Data: ds.Data[split*ds.D:], N: ds.N - split, D: ds.D}
-		ga, idsA := q.QuantizeDataset(a, 1)
-		gb, idsB := q.QuantizeDataset(b, 1)
-		merged, remapA, remapB := MergeFlat(ga, gb)
+		ga, idsA, _ := q.QuantizeDatasetCtx(context.Background(), a, 1)
+		gb, idsB, _ := q.QuantizeDatasetCtx(context.Background(), b, 1)
+		merged, remapA, remapB := mergeFlat(t, ga, gb)
 		flatGridsIdentical(t, want, merged)
 		for i := 0; i < split; i++ {
 			if remapA[idsA[i]] != wantIDs[i] {
@@ -68,7 +75,7 @@ func TestMergeFlatSignedRemoval(t *testing.T) {
 	delta := NewFlat([]int{8, 8}, 2)
 	delta.Append([]uint16{1, 1}, -1)
 	delta.Append([]uint16{2, 5}, -1)
-	merged, liveRemap, deltaRemap := MergeFlat(live, delta)
+	merged, liveRemap, deltaRemap := mergeFlat(t, live, delta)
 	if merged.Len() != 2 {
 		t.Fatalf("cells: got %d, want 2", merged.Len())
 	}
@@ -91,7 +98,7 @@ func TestMergeFlatSweepsTombstones(t *testing.T) {
 	live.Append([]uint16{5, 5}, 4)
 	delta := NewFlat([]int{8, 8}, 1)
 	delta.Append([]uint16{7, 7}, 1)
-	merged, liveRemap, _ := MergeFlat(live, delta)
+	merged, liveRemap, _ := mergeFlat(t, live, delta)
 	if merged.Len() != 2 {
 		t.Fatalf("cells: got %d, want 2", merged.Len())
 	}
@@ -125,11 +132,7 @@ func TestCompact(t *testing.T) {
 // grid exactly, order included.
 func TestSnapshotRoundTrip(t *testing.T) {
 	_, ds := randomDataset(3000, 3, 11)
-	q, err := NewQuantizerDataset(ds, 32, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _ := q.QuantizeDataset(ds, 1)
+	_, f, _ := quantize(t, ds, 32)
 	var buf bytes.Buffer
 	if err := f.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -253,7 +256,7 @@ func TestMergeFlatRandomized(t *testing.T) {
 			delta.Append(c[:], dmass[c])
 			model[c] += dmass[c]
 		}
-		merged, _, _ := MergeFlat(live, delta)
+		merged, _, _ := mergeFlat(t, live, delta)
 		kept := 0
 		for _, m := range model {
 			if m > 0 {

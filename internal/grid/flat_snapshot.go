@@ -210,7 +210,7 @@ func ReadSnapshot(r io.Reader) (*FlatGrid, error) {
 		if math.IsNaN(f.Vals[i]) || math.IsInf(f.Vals[i], 0) || f.Vals[i] <= 0 {
 			return nil, fmt.Errorf("grid: snapshot cell %d has non-positive or non-finite mass %v", i, f.Vals[i])
 		}
-		// Every consumer (Find, MergeFlat, the transform sweep) assumes
+		// Every consumer (Find, MergeFlatCtx, the transform sweep) assumes
 		// strictly increasing canonical order, which also rules out
 		// duplicate cells; a reordered or duplicated stream must be
 		// reported, not restored.

@@ -12,29 +12,23 @@ import (
 // than the sweep itself.
 const parallelCellCutoff = 2048
 
-// TransformDimFlat is the flat-engine counterpart of TransformDim: one
-// level of the analysis low-pass filter along dimension j, downsampling
-// that dimension by 2. Instead of rebuilding a map, it radix-sorts the
-// cells so dimension j varies fastest, then sweeps each grid line with an
-// epoch-stamped accumulator — every output cell is written once, in order,
-// with no hashing and no per-cell allocation. Lines are data-independent,
-// so they are sharded across workers (≤ 1 runs inline). The input grid's
-// cell order is permuted in place; its contents are unchanged. The result
-// is sorted with dimension j fastest, so a full dimension sweep ending at
-// j = Dim()−1 yields canonical order.
-func TransformDimFlat(f *FlatGrid, j int, b wavelet.Basis, workers int) *FlatGrid {
-	out, _ := transformDimFlatCtx(context.Background(), f, j, b, workers)
-	return out
-}
-
-// transformDimFlatCtx is TransformDimFlat with cooperative cancellation:
-// each line-sweep shard polls ctx at its boundary and a cancelled transform
-// returns no output grid. The input's cell order may already be permuted by
-// the radix sort when the cancel lands — exactly the non-error contract —
-// so callers restore canonical order on any error, as they do on success.
+// transformDimFlatCtx applies one level of the analysis low-pass wavelet
+// filter along dimension j, downsampling that dimension by 2. It
+// radix-sorts the cells so dimension j varies fastest, then sweeps each
+// grid line with an epoch-stamped accumulator — every output cell is
+// written once, in order, with no hashing and no per-cell allocation.
+// Boundary handling is zero extension, which is exact here because absent
+// cells really do have density zero. Lines are data-independent, so they
+// are sharded across workers (≤ 1 runs inline), and each line-sweep shard
+// polls ctx at its boundary; a cancelled transform returns no output grid.
+// The input grid's cell order is permuted in place (on cancellation too,
+// so callers restore canonical order on any error, as they do on success);
+// its contents are unchanged. The result is sorted with dimension j
+// fastest, so a full dimension sweep ending at j = Dim()−1 yields
+// canonical order.
 func transformDimFlatCtx(ctx context.Context, f *FlatGrid, j int, b wavelet.Basis, workers int) (*FlatGrid, error) {
 	if j < 0 || j >= f.Dim() {
-		panic(fmt.Sprintf("grid: TransformDimFlat dimension %d out of range (grid is %d-D)", j, f.Dim()))
+		panic(fmt.Sprintf("grid: transform dimension %d out of range (grid is %d-D)", j, f.Dim()))
 	}
 	d := f.Dim()
 	m := f.Len()
@@ -182,8 +176,8 @@ func balanceLines(starts []int32, workers int) []int {
 // order) to outCoords/outVals. Contributions to one output cell are
 // accumulated in ascending input order, so the result is deterministic and
 // independent of how lines are distributed across workers. Output cells
-// whose accumulated value is zero are kept, matching the map engine (which
-// stores them until coefficient denoising drops them).
+// whose accumulated value is zero are kept — every touched output cell is
+// emitted — and coefficient denoising drops them later.
 func sweepLines(ctx context.Context, f *FlatGrid, j int, b wavelet.Basis, starts []int32, lo, hi, outLen int, s *flatScratch, outCoords []uint16, outVals []float64) ([]uint16, []float64) {
 	d := f.Dim()
 	taps := b.Lo
@@ -240,23 +234,21 @@ func sweepLines(ctx context.Context, f *FlatGrid, j int, b wavelet.Basis, starts
 	return outCoords, outVals
 }
 
-// TransformFlat applies one full decomposition level (the low-pass filter
-// along every dimension in turn), leaving the result in canonical order.
-func TransformFlat(f *FlatGrid, b wavelet.Basis, workers int) *FlatGrid {
-	out, _ := transformCappedFlat(context.Background(), f, b, 0, workers)
-	return out
-}
-
-// TransformFlatCtx is TransformFlat with cooperative cancellation between
-// (and within) the per-dimension sweeps. On cancellation the input grid's
-// cell order may be permuted, exactly like any other transform error;
-// callers restore canonical order before reusing it.
+// TransformFlatCtx applies one full decomposition level — the low-pass
+// filter along every dimension in turn (the separable d-D DWT of the
+// paper's Alg. 3, keeping only the LL…L subband) — leaving the result in
+// canonical order. Cancellation is polled between (and within) the
+// per-dimension sweeps. The input grid's cell order is permuted, on
+// cancellation too; callers restore canonical order before reusing it.
 func TransformFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, workers int) (*FlatGrid, error) {
 	return transformCappedFlat(ctx, f, b, 0, workers)
 }
 
-// transformCappedFlat is TransformFlat with the same occupied-cell growth
-// cap (and error wording) as the map engine's transformCapped.
+// transformCappedFlat is TransformFlatCtx with an occupied-cell growth cap.
+// Filters longer than two taps scatter each cell into several output cells
+// per dimension, so in high dimension the sparse grid can densify
+// exponentially (m × 2ᵈ in the worst case); exceeding maxCells aborts with
+// an error instead of consuming the machine. maxCells ≤ 0 disables the cap.
 func transformCappedFlat(ctx context.Context, f *FlatGrid, b wavelet.Basis, maxCells, workers int) (*FlatGrid, error) {
 	out := f
 	for j := 0; j < f.Dim(); j++ {
@@ -274,19 +266,38 @@ func transformCappedFlat(ctx context.Context, f *FlatGrid, b wavelet.Basis, maxC
 	return out, nil
 }
 
-// TransformLevelsFlat mirrors TransformLevels on the flat representation:
-// `levels` full decomposition levels, returning the approximation grid of
-// each level (level 1 first), with the same growth caps and errors. The
-// input grid's cell order is permuted (see TransformDimFlat); every
-// returned level is in canonical order — deeper levels transform a clone,
-// so earlier returned grids are never re-sorted out from under the caller.
-func TransformLevelsFlat(f *FlatGrid, b wavelet.Basis, levels, workers int) ([]*FlatGrid, error) {
-	return TransformLevelsFlatCtx(context.Background(), f, b, levels, workers)
+// DefaultTransformCellCap bounds the occupied cells the sparse transform
+// may produce before aborting (see transformCappedFlat). It is far above
+// any healthy workload — a densifying high-dimensional transform crosses
+// it within seconds, a legitimate one never does.
+const DefaultTransformCellCap = 1 << 23
+
+// growthCap returns the per-level occupied-cell budget for an input of m
+// cells: healthy transforms either shrink the cell count (dense low-d
+// grids merge under downsampling) or scatter by at most ⌈L/2⌉ per
+// dimension bounded by the output grid size; 32× input with a 2¹⁶ floor
+// accommodates every legitimate case while catching exponential
+// densification after a couple of dimensions instead of gigabytes later.
+func growthCap(m int) int {
+	cap := 32 * m
+	if cap < 1<<16 {
+		cap = 1 << 16
+	}
+	if cap > DefaultTransformCellCap {
+		cap = DefaultTransformCellCap
+	}
+	return cap
 }
 
-// TransformLevelsFlatCtx is TransformLevelsFlat with cooperative
-// cancellation. A cancelled chain returns no levels; the input grid's cell
-// order may be permuted (like any transform error), so callers restore
+// TransformLevelsFlatCtx applies `levels` full decomposition levels and
+// returns the approximation grid of each level (level 1 first) — the
+// multi-resolution stack the paper's property list advertises. Growth past
+// growthCap occupied cells aborts with an error (long filters densify
+// sparse high-dimensional grids exponentially; switch to Haar). The input
+// grid's cell order is permuted (see transformDimFlatCtx); every returned
+// level is in canonical order — deeper levels transform a clone, so
+// earlier returned grids are never re-sorted out from under the caller. A
+// cancelled chain returns no levels, and callers restore the input's
 // canonical order before reusing it.
 func TransformLevelsFlatCtx(ctx context.Context, f *FlatGrid, b wavelet.Basis, levels, workers int) ([]*FlatGrid, error) {
 	if levels < 1 {

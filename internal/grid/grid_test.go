@@ -1,67 +1,115 @@
 package grid
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"adawave/internal/pointset"
 	"adawave/internal/wavelet"
 )
 
-func TestKeyRoundTrip(t *testing.T) {
-	cases := [][]int{{0}, {1, 2}, {65535, 0, 123}, {7, 7, 7, 7, 7, 7, 7, 7, 7, 7}}
-	for _, coords := range cases {
-		k := MakeKey(coords)
-		if k.Dim() != len(coords) {
-			t.Fatalf("Dim = %d, want %d", k.Dim(), len(coords))
-		}
-		back := k.Coords()
-		for j := range coords {
-			if back[j] != coords[j] || k.Coord(j) != coords[j] {
-				t.Fatalf("round trip failed for %v: got %v", coords, back)
-			}
-		}
-	}
+// cellSet accumulates masses per distinct cell and emits them as a
+// canonical FlatGrid — the test-side builder for hand-made grids.
+type cellSet struct {
+	idx map[string]int
+	f   *FlatGrid
 }
 
-func TestKeyWith(t *testing.T) {
-	k := MakeKey([]int{3, 5, 9})
-	k2 := k.With(1, 300)
-	if k2.Coord(0) != 3 || k2.Coord(1) != 300 || k2.Coord(2) != 9 {
-		t.Fatalf("With produced %v", k2.Coords())
-	}
-	// Original unchanged.
-	if k.Coord(1) != 5 {
-		t.Fatal("With mutated the original key")
-	}
+func newCellSet(size ...int) *cellSet {
+	return &cellSet{idx: map[string]int{}, f: NewFlat(size, 0)}
 }
 
-func TestKeyRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range coordinate should panic")
-		}
-	}()
-	MakeKey([]int{70000})
+// add accumulates w into the cell at coords.
+func (c *cellSet) add(coords []int, w float64) {
+	u := make([]uint16, len(coords))
+	for j, v := range coords {
+		u[j] = uint16(v)
+	}
+	k := fmt.Sprint(u)
+	if i, ok := c.idx[k]; ok {
+		c.f.Vals[i] += w
+		return
+	}
+	c.idx[k] = c.f.Len()
+	c.f.Append(u, w)
+}
+
+// grid returns the accumulated cells in canonical order.
+func (c *cellSet) grid() *FlatGrid {
+	g := c.f.Clone()
+	g.SortCanonical()
+	return g
+}
+
+// massAt returns the density of the cell at coords in canonical grid f
+// (0 when unoccupied).
+func massAt(f *FlatGrid, coords ...int) float64 {
+	u := make([]uint16, len(coords))
+	for j, v := range coords {
+		u[j] = uint16(v)
+	}
+	if i := f.Find(u); i >= 0 {
+		return f.Vals[i]
+	}
+	return 0
+}
+
+// quantize builds the quantizer, canonical grid and point→cell memo of ds
+// on one worker.
+func quantize(t testing.TB, ds *pointset.Dataset, scale int) (*Quantizer, *FlatGrid, []int32) {
+	t.Helper()
+	ctx := context.Background()
+	q, err := NewQuantizerDatasetCtx(ctx, ds, scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, ids, err := q.QuantizeDatasetCtx(ctx, ds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, f, ids
+}
+
+func transform(t testing.TB, f *FlatGrid, b wavelet.Basis) *FlatGrid {
+	t.Helper()
+	out, err := TransformFlatCtx(context.Background(), f, b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func components(t testing.TB, f *FlatGrid, conn Connectivity) ([]int32, int) {
+	t.Helper()
+	labels, n, err := ComponentsFlatCtx(context.Background(), f, conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return labels, n
 }
 
 func TestGridBasics(t *testing.T) {
-	g := New([]int{4, 4})
-	k := MakeKey([]int{1, 2})
-	g.Add(k, 2)
-	g.Add(k, 3)
-	if g.Density(k) != 5 {
-		t.Fatalf("density = %v", g.Density(k))
+	cs := newCellSet(4, 4)
+	cs.add([]int{1, 2}, 2)
+	cs.add([]int{1, 2}, 3)
+	g := cs.grid()
+	if massAt(g, 1, 2) != 5 {
+		t.Fatalf("density = %v", massAt(g, 1, 2))
 	}
 	if g.Len() != 1 || g.Dim() != 2 {
 		t.Fatalf("Len/Dim wrong: %d %d", g.Len(), g.Dim())
 	}
-	if g.Density(MakeKey([]int{0, 0})) != 0 {
+	if massAt(g, 0, 0) != 0 {
 		t.Fatal("absent cell should read 0")
 	}
-	g.Add(MakeKey([]int{0, 0}), 1)
+	cs.add([]int{0, 0}, 1)
+	g = cs.grid()
 	if g.TotalMass() != 6 {
 		t.Fatalf("TotalMass = %v", g.TotalMass())
 	}
@@ -70,20 +118,21 @@ func TestGridBasics(t *testing.T) {
 		t.Fatalf("SortedDensities = %v", sd)
 	}
 	th := g.Threshold(2)
-	if th.Len() != 1 || th.Density(k) != 5 {
-		t.Fatalf("Threshold wrong: %+v", th.Cells)
+	if th.Len() != 1 || massAt(th, 1, 2) != 5 {
+		t.Fatalf("Threshold wrong: %v %v", th.Coords, th.Vals)
 	}
 	c := g.Clone()
-	c.Add(k, 1)
-	if g.Density(k) != 5 {
+	c.Vals[g.Find([]uint16{1, 2})]++
+	if massAt(g, 1, 2) != 5 {
 		t.Fatal("Clone is not deep")
 	}
 }
 
 func TestDropBelow(t *testing.T) {
-	g := New([]int{8})
-	g.Add(MakeKey([]int{0}), 0.001)
-	g.Add(MakeKey([]int{1}), 5)
+	cs := newCellSet(8)
+	cs.add([]int{0}, 0.001)
+	cs.add([]int{1}, 5)
+	g := cs.grid()
 	if removed := g.DropBelow(0.01); removed != 1 {
 		t.Fatalf("removed %d cells", removed)
 	}
@@ -93,21 +142,13 @@ func TestDropBelow(t *testing.T) {
 }
 
 func TestQuantizerBasics(t *testing.T) {
-	pts := [][]float64{{0, 0}, {1, 1}, {0.49, 0.51}}
-	q, err := NewQuantizer(pts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := q.Quantize(pts)
+	ds := pointset.MustFromSlices([][]float64{{0, 0}, {1, 1}, {0.49, 0.51}})
+	_, g, _ := quantize(t, ds, 2)
 	// (0,0)→cell(0,0); (1,1)→clamped to (1,1); (0.49,0.51)→(0,1)
-	if g.Density(MakeKey([]int{0, 0})) != 1 {
-		t.Fatalf("cell (0,0) density %v", g.Density(MakeKey([]int{0, 0})))
-	}
-	if g.Density(MakeKey([]int{1, 1})) != 1 {
-		t.Fatalf("cell (1,1) density %v", g.Density(MakeKey([]int{1, 1})))
-	}
-	if g.Density(MakeKey([]int{0, 1})) != 1 {
-		t.Fatalf("cell (0,1) density %v", g.Density(MakeKey([]int{0, 1})))
+	for _, c := range [][]int{{0, 0}, {1, 1}, {0, 1}} {
+		if m := massAt(g, c...); m != 1 {
+			t.Fatalf("cell %v density %v", c, m)
+		}
 	}
 	if g.TotalMass() != 3 {
 		t.Fatalf("mass %v", g.TotalMass())
@@ -115,33 +156,29 @@ func TestQuantizerBasics(t *testing.T) {
 }
 
 func TestQuantizerErrors(t *testing.T) {
-	if _, err := NewQuantizer(nil, 4); err != ErrNoPoints {
+	ctx := context.Background()
+	one := pointset.MustFromSlices([][]float64{{1}})
+	if _, err := NewQuantizerDatasetCtx(ctx, nil, 4, 1); err != ErrNoPoints {
 		t.Fatalf("want ErrNoPoints, got %v", err)
 	}
-	if _, err := NewQuantizer([][]float64{{1}}, 1); err == nil {
+	if _, err := NewQuantizerDatasetCtx(ctx, one, 1, 1); err == nil {
 		t.Fatal("scale < 2 should error")
 	}
-	if _, err := NewQuantizer([][]float64{{1}}, 1<<20); err == nil {
+	if _, err := NewQuantizerDatasetCtx(ctx, one, 1<<20, 1); err == nil {
 		t.Fatal("huge scale should error")
 	}
-	if _, err := NewQuantizer([][]float64{{1, 2}, {1}}, 4); err == nil {
-		t.Fatal("ragged points should error")
-	}
-	if _, err := NewQuantizer([][]float64{{}}, 4); err == nil {
-		t.Fatal("zero-dimensional points should error")
+	zeroDim := &pointset.Dataset{N: 2}
+	if _, err := NewQuantizerDatasetCtx(ctx, zeroDim, 4, 1); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("zero-dimensional points should error as ErrInvalidInput, got %v", err)
 	}
 }
 
 func TestQuantizerConstantDimension(t *testing.T) {
-	pts := [][]float64{{1, 5}, {2, 5}, {3, 5}}
-	q, err := NewQuantizer(pts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := q.Quantize(pts)
-	for k := range g.Cells {
-		if k.Coord(1) != 0 {
-			t.Fatalf("constant dimension should map to cell 0, got %d", k.Coord(1))
+	ds := pointset.MustFromSlices([][]float64{{1, 5}, {2, 5}, {3, 5}})
+	_, g, _ := quantize(t, ds, 4)
+	for i := 0; i < g.Len(); i++ {
+		if c := g.CellCoords(i)[1]; c != 0 {
+			t.Fatalf("constant dimension should map to cell 0, got %d", c)
 		}
 	}
 	if g.TotalMass() != 3 {
@@ -154,19 +191,15 @@ func TestQuantizeMassConservation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(rng.Int31n(500))
 		d := 1 + int(rng.Int31n(4))
-		pts := make([][]float64, n)
-		for i := range pts {
-			p := make([]float64, d)
+		ds := pointset.New(d, n)
+		p := make([]float64, d)
+		for i := 0; i < n; i++ {
 			for j := range p {
 				p[j] = rng.NormFloat64() * 10
 			}
-			pts[i] = p
+			ds.AppendRow(p)
 		}
-		q, err := NewQuantizer(pts, 16)
-		if err != nil {
-			return false
-		}
-		g := q.Quantize(pts)
+		_, g, _ := quantize(t, ds, 16)
 		return g.TotalMass() == float64(n) && g.Len() <= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -174,7 +207,7 @@ func TestQuantizeMassConservation(t *testing.T) {
 	}
 }
 
-// TestSparseTransformMatchesDense verifies that the sparse scatter
+// TestSparseTransformMatchesDense verifies that the sparse line-sweep
 // transform computes exactly the dense wavelet.Approx coefficients along
 // each dimension.
 func TestSparseTransformMatchesDense(t *testing.T) {
@@ -183,23 +216,26 @@ func TestSparseTransformMatchesDense(t *testing.T) {
 		// 1-D grid: direct comparison with wavelet.Approx.
 		n := 32
 		sig := make([]float64, n)
-		g := New([]int{n})
+		cs := newCellSet(n)
 		for i := range sig {
 			if rng.Float64() < 0.5 { // keep it sparse
 				sig[i] = rng.Float64() * 10
 				if sig[i] != 0 {
-					g.Add(MakeKey([]int{i}), sig[i])
+					cs.add([]int{i}, sig[i])
 				}
 			}
 		}
 		want := wavelet.Approx(sig, b)
-		got := TransformDim(g, 0, b)
+		got, err := transformDimFlatCtx(context.Background(), cs.grid(), 0, b, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got.Size[0] != len(want) {
 			t.Fatalf("%s: size %d, want %d", b.Name, got.Size[0], len(want))
 		}
 		for k, w := range want {
-			if math.Abs(got.Density(MakeKey([]int{k}))-w) > 1e-10 {
-				t.Fatalf("%s: coeff %d = %v, want %v", b.Name, k, got.Density(MakeKey([]int{k})), w)
+			if math.Abs(massAt(got, k)-w) > 1e-10 {
+				t.Fatalf("%s: coeff %d = %v, want %v", b.Name, k, massAt(got, k), w)
 			}
 		}
 	}
@@ -219,15 +255,15 @@ func TestTransform2DSeparable(t *testing.T) {
 	for i := range fy {
 		fy[i] = rng.Float64()
 	}
-	g := New([]int{nx, ny})
+	cs := newCellSet(nx, ny)
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			if v := fx[i] * fy[j]; v != 0 {
-				g.Add(MakeKey([]int{i, j}), v)
+				cs.add([]int{i, j}, v)
 			}
 		}
 	}
-	got := Transform(g, b)
+	got := transform(t, cs.grid(), b)
 	ax, ay := wavelet.Approx(fx, b), wavelet.Approx(fy, b)
 	if got.Size[0] != len(ax) || got.Size[1] != len(ay) {
 		t.Fatalf("size %v", got.Size)
@@ -235,17 +271,19 @@ func TestTransform2DSeparable(t *testing.T) {
 	for i := range ax {
 		for j := range ay {
 			want := ax[i] * ay[j]
-			if math.Abs(got.Density(MakeKey([]int{i, j}))-want) > 1e-9 {
-				t.Fatalf("cell (%d,%d) = %v, want %v", i, j, got.Density(MakeKey([]int{i, j})), want)
+			if math.Abs(massAt(got, i, j)-want) > 1e-9 {
+				t.Fatalf("cell (%d,%d) = %v, want %v", i, j, massAt(got, i, j), want)
 			}
 		}
 	}
 }
 
 func TestTransformLevels(t *testing.T) {
-	g := New([]int{16, 16})
-	g.Add(MakeKey([]int{8, 8}), 4)
-	levels, err := TransformLevels(g, wavelet.Haar(), 3)
+	ctx := context.Background()
+	cs := newCellSet(16, 16)
+	cs.add([]int{8, 8}, 4)
+	g := cs.grid()
+	levels, err := TransformLevelsFlatCtx(ctx, g, wavelet.Haar(), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,21 +302,11 @@ func TestTransformLevels(t *testing.T) {
 			t.Fatalf("level %d mass %v, want %v", l+1, lg.TotalMass(), want)
 		}
 	}
-	if _, err := TransformLevels(g, wavelet.Haar(), 0); err == nil {
+	if _, err := TransformLevelsFlatCtx(ctx, g, wavelet.Haar(), 0, 1); err == nil {
 		t.Fatal("levels=0 should error")
 	}
-	if _, err := TransformLevels(g, wavelet.Haar(), 10); err == nil {
-		t.Fatal("too many levels should error")
-	}
-}
-
-func TestShiftKey(t *testing.T) {
-	k := MakeKey([]int{12, 7})
-	if s := ShiftKey(k, 1); s.Coord(0) != 6 || s.Coord(1) != 3 {
-		t.Fatalf("shift 1 = %v", s.Coords())
-	}
-	if s := ShiftKey(k, 2); s.Coord(0) != 3 || s.Coord(1) != 1 {
-		t.Fatalf("shift 2 = %v", s.Coords())
+	if _, err := TransformLevelsFlatCtx(ctx, g, wavelet.Haar(), 10, 1); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("too many levels should error as ErrInvalidInput, got %v", err)
 	}
 }
 
@@ -288,100 +316,92 @@ func TestComponentsFaces(t *testing.T) {
 	//  . A . .
 	//  . . . .
 	//  C . . .
-	g := New([]int{4, 4})
+	cs := newCellSet(4, 4)
 	for _, c := range [][]int{{0, 0}, {1, 0}, {1, 1}, {3, 0}, {0, 3}} {
-		g.Add(MakeKey(c), 1)
+		cs.add(c, 1)
 	}
-	labels, err := Components(g, Faces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := cs.grid()
+	labels, n := components(t, g, Faces)
 	if len(labels) != 5 {
 		t.Fatalf("labeled %d cells", len(labels))
 	}
-	la := labels[MakeKey([]int{0, 0})]
-	if labels[MakeKey([]int{1, 0})] != la || labels[MakeKey([]int{1, 1})] != la {
+	at := func(c ...uint16) int32 { return labels[g.Find(c)] }
+	la := at(0, 0)
+	if at(1, 0) != la || at(1, 1) != la {
 		t.Fatal("L-shape not connected")
 	}
-	if labels[MakeKey([]int{3, 0})] == la || labels[MakeKey([]int{0, 3})] == la {
+	if at(3, 0) == la || at(0, 3) == la || at(3, 0) == at(0, 3) {
 		t.Fatal("separate cells merged")
 	}
-	ids := map[int]bool{}
-	for _, l := range labels {
-		ids[l] = true
-	}
-	if len(ids) != 3 {
-		t.Fatalf("found %d components, want 3", len(ids))
+	if n != 3 {
+		t.Fatalf("found %d components, want 3", n)
 	}
 }
 
 func TestComponentsFullVsFaces(t *testing.T) {
 	// Two cells touching only diagonally: separate under Faces, joined
 	// under Full.
-	g := New([]int{4, 4})
-	g.Add(MakeKey([]int{0, 0}), 1)
-	g.Add(MakeKey([]int{1, 1}), 1)
-	faces, err := Components(g, Faces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faces[MakeKey([]int{0, 0})] == faces[MakeKey([]int{1, 1})] {
+	cs := newCellSet(4, 4)
+	cs.add([]int{0, 0}, 1)
+	cs.add([]int{1, 1}, 1)
+	g := cs.grid()
+	faces, _ := components(t, g, Faces)
+	if faces[0] == faces[1] {
 		t.Fatal("diagonal cells should be separate under Faces")
 	}
-	full, err := Components(g, Full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full[MakeKey([]int{0, 0})] != full[MakeKey([]int{1, 1})] {
+	full, _ := components(t, g, Full)
+	if full[0] != full[1] {
 		t.Fatal("diagonal cells should join under Full")
 	}
 }
 
 func TestComponentsFullDimensionLimit(t *testing.T) {
-	g := New(make([]int, 9))
-	for j := range g.Size {
-		g.Size[j] = 2
+	size := make([]int, maxFullDim+1)
+	for j := range size {
+		size[j] = 2
 	}
-	if _, err := Components(g, Full); err == nil {
-		t.Fatal("Full connectivity in 9-D should error")
+	_, _, err := ComponentsFlatCtx(context.Background(), NewFlat(size, 0), Full)
+	if !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("Full connectivity in 9-D should error as ErrInvalidInput, got %v", err)
 	}
 }
 
+// TestComponentsDeterministic: the labeling is a function of the occupied
+// cell set alone — scrambling the cell order relabels nothing.
 func TestComponentsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	g := New([]int{32, 32})
+	cs := newCellSet(32, 32)
 	for i := 0; i < 200; i++ {
-		g.Add(MakeKey([]int{int(rng.Int31n(32)), int(rng.Int31n(32))}), 1)
+		cs.add([]int{int(rng.Int31n(32)), int(rng.Int31n(32))}, 1)
 	}
-	l1, err := Components(g, Faces)
-	if err != nil {
-		t.Fatal(err)
+	g := cs.grid()
+	l1, _ := components(t, g, Faces)
+	scrambled := g.Clone()
+	perm := rng.Perm(g.Len())
+	for i, p := range perm {
+		copy(scrambled.CellCoords(i), g.CellCoords(p))
+		scrambled.Vals[i] = g.Vals[p]
 	}
-	l2, err := Components(g.Clone(), Faces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range l1 {
-		if l2[k] != v {
-			t.Fatalf("labels differ at %v: %d vs %d", k.Coords(), v, l2[k])
+	l2, _ := components(t, scrambled, Faces)
+	for i, p := range perm {
+		if l2[i] != l1[p] {
+			t.Fatalf("labels differ at %v: %d vs %d", g.CellCoords(p), l1[p], l2[i])
 		}
 	}
 }
 
 func TestComponentSizes(t *testing.T) {
-	g := New([]int{4})
-	g.Add(MakeKey([]int{0}), 2)
-	g.Add(MakeKey([]int{1}), 3)
-	g.Add(MakeKey([]int{3}), 7)
-	labels, err := Components(g, Faces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := ComponentSizes(g, labels)
+	cs := newCellSet(4)
+	cs.add([]int{0}, 2)
+	cs.add([]int{1}, 3)
+	cs.add([]int{3}, 7)
+	g := cs.grid()
+	labels, n := components(t, g, Faces)
+	sizes := ComponentMasses(g, labels, n)
 	if len(sizes) != 2 {
 		t.Fatalf("sizes %v", sizes)
 	}
-	if sizes[labels[MakeKey([]int{0})]] != 5 || sizes[labels[MakeKey([]int{3})]] != 7 {
+	if sizes[labels[g.Find([]uint16{0})]] != 5 || sizes[labels[g.Find([]uint16{3})]] != 7 {
 		t.Fatalf("sizes %v", sizes)
 	}
 }
@@ -392,12 +412,13 @@ func TestComponentSizes(t *testing.T) {
 func TestHaarMassScalingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := New([]int{64, 64})
+		cs := newCellSet(64, 64)
 		for i := 0; i < 100; i++ {
-			g.Add(MakeKey([]int{int(rng.Int31n(64)), int(rng.Int31n(64))}), rng.Float64()*5)
+			cs.add([]int{int(rng.Int31n(64)), int(rng.Int31n(64))}, rng.Float64()*5)
 		}
+		g := cs.grid()
 		before := g.TotalMass()
-		after := Transform(g, wavelet.Haar()).TotalMass()
+		after := transform(t, g, wavelet.Haar()).TotalMass()
 		return math.Abs(after-before/4) < 1e-9*(1+before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -408,12 +429,12 @@ func TestHaarMassScalingProperty(t *testing.T) {
 // Property: transform output never exceeds the size bound and the memory
 // stays proportional to occupied cells (the grid-labeling guarantee).
 func TestSparsityPreserved(t *testing.T) {
-	g := New([]int{1024, 1024, 1024}) // a dense 1024³ grid would be 10⁹ cells
+	cs := newCellSet(1024, 1024, 1024) // a dense 1024³ grid would be 10⁹ cells
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
-		g.Add(MakeKey([]int{int(rng.Int31n(1024)), int(rng.Int31n(1024)), int(rng.Int31n(1024))}), 1)
+		cs.add([]int{int(rng.Int31n(1024)), int(rng.Int31n(1024)), int(rng.Int31n(1024))}, 1)
 	}
-	out := Transform(g, wavelet.CDF22())
+	out := transform(t, cs.grid(), wavelet.CDF22())
 	// Each cell scatters into ≤ ⌈5/2⌉ = 3 cells per dimension ⇒ ≤ 27×.
 	if out.Len() > 27*500 {
 		t.Fatalf("sparse transform exploded: %d cells", out.Len())
@@ -425,57 +446,68 @@ func TestSparsityPreserved(t *testing.T) {
 
 func BenchmarkQuantize100k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	pts := make([][]float64, 100000)
-	for i := range pts {
-		pts[i] = []float64{rng.Float64(), rng.Float64()}
+	ds := pointset.New(2, 100000)
+	for i := 0; i < 100000; i++ {
+		ds.AppendRow([]float64{rng.Float64(), rng.Float64()})
 	}
-	q, _ := NewQuantizer(pts, 128)
+	ctx := context.Background()
+	q, err := NewQuantizerDatasetCtx(ctx, ds, 128, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Quantize(pts)
+		if _, _, err := q.QuantizeDatasetCtx(ctx, ds, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkSparseTransform(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := New([]int{128, 128})
+	cs := newCellSet(128, 128)
 	for i := 0; i < 5000; i++ {
-		g.Add(MakeKey([]int{int(rng.Int31n(128)), int(rng.Int31n(128))}), rng.Float64())
+		cs.add([]int{int(rng.Int31n(128)), int(rng.Int31n(128))}, rng.Float64())
 	}
+	g := cs.grid()
 	basis := wavelet.CDF22()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Transform(g, basis)
+		if _, err := TransformFlatCtx(ctx, g, basis, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func TestTransformLevelsDensificationGuard(t *testing.T) {
 	// A long filter in high dimension scatters every occupied cell into
 	// two cells per dimension: 100 cells in 20-D would densify towards
-	// 100·2²⁰ occupied cells. TransformLevels must abort with a clear
-	// error instead of consuming the machine.
+	// 100·2²⁰ occupied cells. The transform must abort with a clear error
+	// instead of consuming the machine.
 	const dim = 20
 	size := make([]int, dim)
 	for j := range size {
 		size[j] = 4
 	}
-	g := New(size)
+	cs := newCellSet(size...)
 	coords := make([]int, dim)
 	for i := 0; i < 100; i++ {
 		for j := range coords {
 			coords[j] = (i + j) % 4
 		}
-		g.Add(MakeKey(coords), 1)
+		cs.add(coords, 1)
 	}
-	_, err := TransformLevels(g, wavelet.CDF22(), 1)
+	ctx := context.Background()
+	_, err := TransformLevelsFlatCtx(ctx, cs.grid(), wavelet.CDF22(), 1, 1)
 	if err == nil {
 		t.Fatal("expected densification error for CDF(2,2) in 20-D")
 	}
-	if !strings.Contains(err.Error(), "haar") {
-		t.Fatalf("error should recommend haar: %v", err)
+	if !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "haar") {
+		t.Fatalf("error should be ErrInvalidInput and recommend haar: %v", err)
 	}
 	// Haar maps each cell to exactly one output cell: same workload fine.
-	levels, err := TransformLevels(g, wavelet.Haar(), 1)
+	levels, err := TransformLevelsFlatCtx(ctx, cs.grid(), wavelet.Haar(), 1, 1)
 	if err != nil {
 		t.Fatalf("haar should not densify: %v", err)
 	}

@@ -1,23 +1,13 @@
-package grid
+package oracle
 
-import "fmt"
+import (
+	"fmt"
 
-// Connectivity selects which cells count as neighbors during
-// connected-component labeling.
-type Connectivity int
-
-const (
-	// Faces connects cells that differ by ±1 in exactly one dimension
-	// (2d neighbors; 4-connectivity in 2-D). This is the default and the
-	// only option that scales to high dimension.
-	Faces Connectivity = iota
-	// Full connects cells that differ by at most 1 in every dimension
-	// (3ᵈ−1 neighbors; 8-connectivity in 2-D). Limited to d ≤ 8.
-	Full
+	"adawave/internal/grid"
 )
 
-// maxFullDim bounds Full connectivity: 3⁸−1 = 6560 neighbor offsets is the
-// largest fan-out we allow per cell.
+// maxFullDim bounds Full connectivity at the same dimension as the flat
+// labeling: 3⁸−1 = 6560 neighbor offsets per cell.
 const maxFullDim = 8
 
 // Components labels the occupied cells of g with consecutive component ids
@@ -25,16 +15,15 @@ const maxFullDim = 8
 // Iteration order is made deterministic by visiting cells in sorted key
 // order, so the same grid always yields the same labeling (the paper's
 // order-insensitivity property).
-func Components(g *Grid, conn Connectivity) (map[Key]int, error) {
-	if conn == Full && g.Dim() > maxFullDim {
+func Components(g *Grid, conn grid.Connectivity) (map[Key]int, error) {
+	if conn == grid.Full && g.Dim() > maxFullDim {
 		return nil, fmt.Errorf("grid: Full connectivity limited to %d dimensions, grid has %d", maxFullDim, g.Dim())
 	}
 	labels := make(map[Key]int, g.Len())
 	// Neighbor candidates are packed into a reused buffer; interning over
 	// the grid's own keys turns each probe into an allocation-free map
 	// lookup that yields the retained Key — a candidate missing from the
-	// intern map is simply unoccupied. Visit order matches the previous
-	// allocating implementation exactly, so labels are unchanged.
+	// intern map is simply unoccupied.
 	intern := make(map[Key]Key, g.Len())
 	for k := range g.Cells {
 		intern[k] = k
@@ -68,7 +57,7 @@ func Components(g *Grid, conn Connectivity) (map[Key]int, error) {
 			cur := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			switch conn {
-			case Faces:
+			case grid.Faces:
 				copy(buf, cur)
 				for j := 0; j < d; j++ {
 					c := cur.Coord(j)
@@ -82,7 +71,7 @@ func Components(g *Grid, conn Connectivity) (map[Key]int, error) {
 					}
 					putCoord(buf, j, c)
 				}
-			case Full:
+			case grid.Full:
 				for j := 0; j < d; j++ {
 					curCoords[j] = cur.Coord(j)
 					off[j] = -1
@@ -130,13 +119,4 @@ func packOffset(buf []byte, coords, off, size []int) bool {
 		putCoord(buf, j, c)
 	}
 	return true
-}
-
-// ComponentSizes returns the total density mass of each component label.
-func ComponentSizes(g *Grid, labels map[Key]int) map[int]float64 {
-	out := make(map[int]float64)
-	for k, l := range labels {
-		out[l] += g.Cells[k]
-	}
-	return out
 }

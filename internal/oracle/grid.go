@@ -1,14 +1,22 @@
-// Package grid implements the sparse-grid substrate of AdaWave: the “grid
-// labeling” data structure from the paper (only non-zero cells are stored,
-// so memory is O(occupied cells) instead of O(Mᵈ)), the feature-space
-// quantizer, the per-dimension sparse wavelet transform, and connected-
-// component labeling over occupied cells.
-package grid
+// Package oracle is the sequential, map-keyed reference implementation of
+// AdaWave that the production pipeline is checked against. It renders the
+// paper's “grid labeling” structure in its most literal form — a hash map
+// from packed cell coordinates to density — and runs every stage (quantize,
+// sparse wavelet transform, adaptive threshold, breadth-first connected
+// components, lookup-table assignment) one cell at a time, with none of the
+// flat engine's radix sorts, line sweeps, union-find or sharding.
+//
+// Only tests import this package: the equivalence suites require the
+// Engine, the streaming Session and the out-of-core path to reproduce its
+// output label for label, and a root test keeps it out of every production
+// import graph.
+package oracle
 
 import (
 	"fmt"
 	"sort"
 
+	"adawave/internal/grid"
 	"adawave/internal/wavelet"
 )
 
@@ -23,10 +31,9 @@ func MakeKey(coords []int) Key {
 	buf := make([]byte, 2*len(coords))
 	for j, c := range coords {
 		if c < 0 || c > 0xFFFF {
-			panic(fmt.Sprintf("grid: coordinate %d out of range [0,65535]", c))
+			panic(fmt.Sprintf("oracle: coordinate %d out of range [0,65535]", c))
 		}
-		buf[2*j] = byte(c)
-		buf[2*j+1] = byte(c >> 8)
+		putCoord(buf, j, c)
 	}
 	return Key(buf)
 }
@@ -52,11 +59,10 @@ func (k Key) Coords() []int {
 // With returns a copy of the key with dimension j replaced by c.
 func (k Key) With(j, c int) Key {
 	if c < 0 || c > 0xFFFF {
-		panic(fmt.Sprintf("grid: coordinate %d out of range [0,65535]", c))
+		panic(fmt.Sprintf("oracle: coordinate %d out of range [0,65535]", c))
 	}
 	buf := []byte(k)
-	buf[2*j] = byte(c)
-	buf[2*j+1] = byte(c >> 8)
+	putCoord(buf, j, c)
 	return Key(buf)
 }
 
@@ -67,9 +73,9 @@ func putCoord(buf []byte, j, c int) {
 }
 
 // AppendShiftedKey appends the packed bytes of k's ancestor key after
-// `levels` dyadic downsamplings to dst and returns dst — ShiftKey without
-// the per-call allocation: probing a map via
-// m[Key(AppendShiftedKey(buf[:0], k, levels))] compiles to an
+// `levels` dyadic downsamplings (every coordinate right-shifted by levels)
+// to dst and returns dst — the lookup table's cell correspondence: probing
+// a map via m[Key(AppendShiftedKey(buf[:0], k, levels))] compiles to an
 // allocation-free lookup, so per-point assignment sweeps reuse one buffer.
 func AppendShiftedKey(dst []byte, k Key, levels int) []byte {
 	d := k.Dim()
@@ -102,34 +108,16 @@ func (g *Grid) Dim() int { return len(g.Size) }
 // Len returns the number of occupied cells (the paper's m).
 func (g *Grid) Len() int { return len(g.Cells) }
 
-// Add accumulates w into the cell at key.
-func (g *Grid) Add(key Key, w float64) { g.Cells[key] += w }
-
 // Density returns the density of the cell (0 when unoccupied).
 func (g *Grid) Density(key Key) float64 { return g.Cells[key] }
-
-// TotalMass returns the sum of all cell densities.
-func (g *Grid) TotalMass() float64 {
-	var s float64
-	for _, v := range g.Cells {
-		s += v
-	}
-	return s
-}
-
-// Densities returns all cell densities in unspecified order.
-func (g *Grid) Densities() []float64 {
-	out := make([]float64, 0, len(g.Cells))
-	for _, v := range g.Cells {
-		out = append(out, v)
-	}
-	return out
-}
 
 // SortedDensities returns all cell densities in descending order — the
 // curve on which the adaptive threshold (paper Fig. 6) is chosen.
 func (g *Grid) SortedDensities() []float64 {
-	out := g.Densities()
+	out := make([]float64, 0, len(g.Cells))
+	for _, v := range g.Cells {
+		out = append(out, v)
+	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
 	return out
 }
@@ -173,26 +161,13 @@ func (g *Grid) SortedKeys() []Key {
 // which is exact here because absent cells really do have density zero.
 func TransformDim(g *Grid, j int, b wavelet.Basis) *Grid {
 	if j < 0 || j >= g.Dim() {
-		panic(fmt.Sprintf("grid: TransformDim dimension %d out of range (grid is %d-D)", j, g.Dim()))
+		panic(fmt.Sprintf("oracle: TransformDim dimension %d out of range (grid is %d-D)", j, g.Dim()))
 	}
 	newSize := append([]int(nil), g.Size...)
 	outLen := (g.Size[j] + 1) / 2
 	newSize[j] = outLen
 	out := New(newSize)
-	// Contributions accumulate into a values slice indexed through a
-	// slot map keyed by a reused key buffer: the map probe converts the
-	// buffer without allocating, so the per-(cell × tap) cost is one
-	// lookup plus a slice add — only a distinct output cell pays a key
-	// allocation. (The previous key.With per contribution dominated the
-	// sequential path's allocation profile.) Accumulation order is
-	// unchanged — same cell iteration, same tap loop — so the sums are
-	// bit-identical.
 	keyBuf := make([]byte, 2*g.Dim())
-	// Sized for the common case (downsampling keeps the occupied-cell
-	// count near the input's) so accumulation rarely rehashes; the output
-	// map is then built at its exact final size.
-	slot := make(map[Key]int32, len(g.Cells))
-	vals := make([]float64, 0, len(g.Cells))
 	for key, v := range g.Cells {
 		i := key.Coord(j)
 		copy(keyBuf, key)
@@ -206,18 +181,8 @@ func TransformDim(g *Grid, j int, b wavelet.Basis) *Grid {
 				continue
 			}
 			putCoord(keyBuf, j, k)
-			s, ok := slot[Key(keyBuf)]
-			if !ok {
-				s = int32(len(vals))
-				vals = append(vals, 0)
-				slot[Key(keyBuf)] = s
-			}
-			vals[s] += h * v
+			out.Cells[Key(keyBuf)] += h * v
 		}
-	}
-	out.Cells = make(map[Key]float64, len(slot))
-	for k, s := range slot {
-		out.Cells[k] = vals[s]
 	}
 	return out
 }
@@ -248,34 +213,19 @@ func transformCapped(g *Grid, b wavelet.Basis, maxCells int) (*Grid, error) {
 	return out, nil
 }
 
-// DefaultTransformCellCap bounds the occupied cells the sparse transform
-// may produce before aborting (see transformCapped). It is far above any
-// healthy workload — a densifying high-dimensional transform crosses it
-// within seconds, a legitimate one never does.
-const DefaultTransformCellCap = 1 << 23
-
-// growthCap returns the per-level occupied-cell budget for an input of m
-// cells: healthy transforms either shrink the cell count (dense low-d
-// grids merge under downsampling) or scatter by at most ⌈L/2⌉ per
-// dimension bounded by the output grid size; 32× input with a 2¹⁶ floor
-// accommodates every legitimate case while catching exponential
-// densification after a couple of dimensions instead of gigabytes later.
+// growthCap restates the flat transform's per-level occupied-cell budget:
+// 32× the input cells, floored at 2¹⁶ and capped at
+// grid.DefaultTransformCellCap, so both pipelines abort a densifying
+// high-dimensional transform at the same level.
 func growthCap(m int) int {
-	cap := 32 * m
-	if cap < 1<<16 {
-		cap = 1 << 16
-	}
-	if cap > DefaultTransformCellCap {
-		cap = DefaultTransformCellCap
-	}
-	return cap
+	return min(max(32*m, 1<<16), grid.DefaultTransformCellCap)
 }
 
 // TransformLevels applies levels full decomposition levels and returns the
 // approximation grid of each level (level 1 first) — the multi-resolution
-// stack the paper's property list advertises. Growth beyond
-// DefaultTransformCellCap occupied cells aborts with an error (long filters
-// densify sparse high-dimensional grids exponentially; switch to Haar).
+// stack the paper's property list advertises. Growth past growthCap aborts
+// with an error (long filters densify sparse high-dimensional grids
+// exponentially; switch to Haar).
 func TransformLevels(g *Grid, b wavelet.Basis, levels int) ([]*Grid, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("grid: levels must be ≥ 1, got %d", levels)

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"adawave/internal/core"
-	"adawave/internal/pointset"
 )
 
 // Session is a long-lived, incrementally maintained clustering — the
@@ -63,7 +62,7 @@ func (s *Session) AppendContext(ctx context.Context, ds *Dataset) error {
 
 // AppendPoints is Append for [][]float64 callers (one copy).
 func (s *Session) AppendPoints(points [][]float64) error {
-	ds, err := pointset.FromSlices(points)
+	ds, err := FromSlices(points)
 	if err != nil {
 		return err
 	}
