@@ -13,22 +13,23 @@ import (
 	"adawave/internal/pointset"
 )
 
-// External radix sort: the out-of-core rendering of QuantizeDatasetCtx.
-// The in-RAM path shards the points, radix-sorts each shard's cell
-// coordinates with the point index as payload, run-length-dedupes into a
-// sorted per-shard accumulator, and k-way merges — every intermediate lives
-// in memory at once. Out of core, the same plan is cut into fixed-size
-// point chunks: each chunk is quantized and sorted exactly like an in-RAM
-// shard, but the resulting sorted run is block-compressed (PackedGrid) and
-// either retained in memory (small) or spilled to a temp file (large), and
-// a loser-tree k-way merge over all runs emits cells in canonical order
-// while renumbering every point's memoized chunk-local cell id to its
-// canonical-grid index. Cell masses are integer point counts, so the merge
-// sums are exact in any order and the resulting grid, ids, and every label
-// derived from them are bit-identical to QuantizeDatasetCtx — only the
-// peak resident memory changes: O(chunk + retained runs + cells) instead
-// of O(points), and the packed runs hold ~4× the cells of the former flat
-// runs in the same spill budget.
+// External radix sort: the out-of-core rendering of QuantizeDatasetCtx's
+// radix regime. In RAM, that regime shards the points, radix-sorts each
+// shard's cell coordinates with the point index as payload, run-length-
+// dedupes into a sorted per-shard accumulator, and k-way merges — every
+// intermediate lives in memory at once. Out of core, the same plan is cut
+// into fixed-size point chunks: each chunk is quantized and sorted by the
+// same shard kernel (radixShard), but the resulting sorted run is
+// block-compressed (PackedGrid) and either retained in memory (small) or
+// spilled to a temp file (large), and a loser-tree k-way merge over all
+// runs emits cells in canonical order while renumbering every point's
+// memoized chunk-local cell id to its canonical-grid index. Cell masses are
+// integer point counts, so the merge sums are exact in any order and the
+// resulting grid, ids, and every label derived from them are bit-identical
+// to QuantizeDatasetCtx in either of its regimes — only the peak resident
+// memory changes: O(chunk + retained runs + cells) instead of O(points),
+// and the packed runs hold ~4× the cells of the former flat runs in the
+// same spill budget.
 
 // ExtSortOptions tunes the external sort. The zero value selects defaults
 // suitable for a machine with a few GB to spare; core.ExternalOptions
@@ -64,15 +65,6 @@ type extRun struct {
 	cells  int
 	p      *PackedGrid
 	path   string
-}
-
-// gridSize returns the per-dimension cell counts of q's grid.
-func (q *Quantizer) gridSize() []int {
-	size := make([]int, q.Dim())
-	for j := range size {
-		size[j] = q.Scale
-	}
-	return size
 }
 
 // QuantizeDatasetExternalCtx builds the same canonical density grid and
@@ -118,15 +110,12 @@ func (q *Quantizer) QuantizeDatasetExternalCtx(ctx context.Context, ds *pointset
 		}
 	}()
 
-	passes := make([]int, 0, d)
-	for p := d - 1; p >= 0; p-- {
-		passes = append(passes, p)
-	}
+	passes := canonicalPasses(d)
 
 	// Phase 1: chunked quantize + in-memory radix sort. Each chunk is
-	// sharded across the workers exactly like QuantizeDatasetCtx shards the
-	// whole dataset, so every shard yields one sorted run with
-	// shard-local point ids stamped by the dedupe pass.
+	// sharded across the workers exactly like QuantizeDatasetCtx's radix
+	// regime shards the whole dataset, so every shard yields one sorted run
+	// with shard-local point ids stamped by the dedupe pass.
 	shardGrids := make([]*FlatGrid, workers)
 	shardLo := make([]int, workers)
 	shardHi := make([]int, workers)
@@ -139,33 +128,12 @@ func (q *Quantizer) QuantizeDatasetExternalCtx(ctx context.Context, ds *pointset
 			return nil, nil, err
 		}
 		nn := hi - lo
-		w := workers
-		if nn < parallelCellCutoff {
-			w = 1
-		}
+		w := shardWorkers(nn, workers)
 		for i := range shardGrids {
 			shardGrids[i] = nil
 		}
 		ParallelRangesCtx(ctx, nn, w, func(sw, slo, shi int) {
-			if ctx.Err() != nil {
-				return
-			}
-			s := getFlatScratch()
-			defer putFlatScratch(s)
-			sn := shi - slo
-			coords := make([]uint16, sn*d)
-			idx := make([]int32, sn)
-			for i := slo; i < shi; i++ {
-				if (i-slo)%ctxCheckStride == ctxCheckStride-1 && ctx.Err() != nil {
-					return
-				}
-				p := lo + i
-				q.CellCoordsU16(ds.Data[p*d:(p+1)*d], coords[(i-slo)*d:(i-slo+1)*d])
-				idx[i-slo] = int32(i - slo)
-			}
-			sorted, _, sortedIdx := radixSortCells(coords, nil, idx, d, size, passes, s)
-			cells, counts := dedupeRunsIdx(sorted, sortedIdx, d, ids[lo+slo:lo+shi])
-			shardGrids[sw] = &FlatGrid{Size: size, Coords: cells, Vals: counts}
+			shardGrids[sw] = q.radixShard(ctx, ds, lo+slo, lo+shi, size, passes, ids[lo+slo:lo+shi])
 			shardLo[sw], shardHi[sw] = lo+slo, lo+shi
 		})
 		if err := CtxErr(ctx); err != nil {

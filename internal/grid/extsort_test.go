@@ -55,18 +55,35 @@ func sameGrid(t *testing.T, a, b *FlatGrid, label string) {
 // TestQuantizeDatasetExternalEquivalence sweeps chunk sizes and spill
 // thresholds (including "spill everything") and checks the external sort
 // reproduces QuantizeDatasetCtx's grid and point→cell memo bit for bit,
-// at several worker counts, leaving no spill files behind.
+// at several worker counts, leaving no spill files behind. It runs once
+// per in-RAM regime: the 3-D fixture's key space (64³) exceeds its points,
+// so QuantizeDatasetCtx radix-sorts it; the 2-D one (64²) is counted.
 func TestQuantizeDatasetExternalEquivalence(t *testing.T) {
-	ds := clusteredDataset(20000, 3, 42)
-	q, err := NewQuantizerDatasetCtx(context.Background(), ds, 64, 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, fx := range []struct {
+		name     string
+		d        int
+		counting bool
+	}{{"radix/d=3", 3, false}, {"counting/d=2", 2, true}} {
+		t.Run(fx.name, func(t *testing.T) {
+			ds := clusteredDataset(20000, fx.d, 42)
+			q, err := NewQuantizerDatasetCtx(context.Background(), ds, 64, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := countingKeySpace(64, fx.d, ds.N, 4) > 0; got != fx.counting {
+				t.Fatalf("in-RAM regime: counting=%v, want %v", got, fx.counting)
+			}
+			wantGrid, wantIDs, err := q.QuantizeDatasetCtx(context.Background(), ds, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExternalEquivalence(t, q, ds, wantGrid, wantIDs)
+		})
 	}
-	wantGrid, wantIDs, err := q.QuantizeDatasetCtx(context.Background(), ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
+func checkExternalEquivalence(t *testing.T, q *Quantizer, ds *pointset.Dataset, wantGrid *FlatGrid, wantIDs []int32) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 12; iter++ {
 		chunk := 1 + rng.Intn(ds.N+1000)

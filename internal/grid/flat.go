@@ -15,11 +15,16 @@ import (
 // struct of arrays: packed uint16 cell coordinates plus a parallel density
 // slice. Two flat slices radix-sort in O(m·d) and sweep with sequential
 // memory access, with no hashing or per-cell allocation; every stage of the
-// engine (quantize shards, line-sweep transform, union-find components,
+// engine (quantization, line-sweep transform, union-find components,
 // ancestor assignment) runs on it. Cell order is an explicit,
 // documented property of each operation rather than map-iteration noise:
 // quantization and the full separable transform leave the grid in canonical
 // order (lexicographic by dimension 0 first), which Find relies on.
+// Quantization reaches that order in one of two ways (see
+// QuantizeDatasetCtx): when the dense key space Mᵈ is small next to the
+// input it counts packed cell keys, whose ascending order is canonical
+// order, into a histogram and emits the occupied ones; otherwise it
+// radix-sorts per-shard cell lists and merges them.
 type FlatGrid struct {
 	// Size is the number of cells along each dimension.
 	Size []int
@@ -142,11 +147,17 @@ func (f *FlatGrid) SortCanonical() {
 	}
 	s := getFlatScratch()
 	defer putFlatScratch(s)
+	f.Coords, f.Vals, _ = radixSortCells(f.Coords, f.Vals, nil, d, f.Size, canonicalPasses(d), s)
+}
+
+// canonicalPasses returns the LSD radix pass order that sorts d-dimensional
+// cells into canonical order: dimension d−1 first, dimension 0 last.
+func canonicalPasses(d int) []int {
 	passes := make([]int, 0, d)
 	for p := d - 1; p >= 0; p-- {
 		passes = append(passes, p)
 	}
-	f.Coords, f.Vals, _ = radixSortCells(f.Coords, f.Vals, nil, d, f.Size, passes, s)
+	return passes
 }
 
 // Find returns the index of the cell with the given coordinates, or −1.

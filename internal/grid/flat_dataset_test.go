@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,6 +54,57 @@ func TestNewQuantizerDatasetErrors(t *testing.T) {
 	_, errPar := NewQuantizerDatasetCtx(ctx, big, 64, 4)
 	if errSeq == nil || errPar == nil || errSeq.Error() != errPar.Error() {
 		t.Fatalf("non-finite error parity: 1 worker %v, 4 workers %v", errSeq, errPar)
+	}
+
+	// Exact message and tag at workers 1–4, for a single offender in the
+	// last shard's last point, in a non-zero dimension, and for offenders
+	// spread over several shards (the lowest point index wins).
+	_, clean := randomDataset(4*parallelCellCutoff, 3, 4)
+	last := clean.N - 1
+	for _, tc := range []struct {
+		name string
+		bad  map[int]float64 // flat data index → value
+		want string
+	}{
+		{"nan-last-shard", map[int]float64{3*last + 2: math.NaN()}, fmt.Sprintf("grid: point %d has non-finite coordinate NaN in dimension 2", last)},
+		{"+inf-last-shard", map[int]float64{3*last + 1: math.Inf(1)}, fmt.Sprintf("grid: point %d has non-finite coordinate +Inf in dimension 1", last)},
+		{"-inf-last-shard", map[int]float64{3*last + 2: math.Inf(-1)}, fmt.Sprintf("grid: point %d has non-finite coordinate -Inf in dimension 2", last)},
+		{"several-shards", map[int]float64{
+			3*(clean.N/2) + 1:     math.NaN(),
+			3*(clean.N/4+7) + 2:   math.Inf(-1),
+			3*(clean.N/4+7) + 1:   math.Inf(1),
+			3*(3*clean.N/4) + 0:   math.Inf(1),
+			3*(clean.N-1) + 2:     math.NaN(),
+			3*(clean.N/4+900) + 0: math.NaN(),
+		}, fmt.Sprintf("grid: point %d has non-finite coordinate +Inf in dimension 1", clean.N/4+7)},
+	} {
+		bad := clean.Clone()
+		for at, v := range tc.bad {
+			bad.Data[at] = v
+		}
+		for workers := 1; workers <= 4; workers++ {
+			_, err := NewQuantizerDatasetCtx(ctx, bad, 64, workers)
+			if !errors.Is(err, ErrInvalidInput) || err.Error() != tc.want {
+				t.Fatalf("%s workers=%d: got %v, want ErrInvalidInput %q", tc.name, workers, err, tc.want)
+			}
+		}
+	}
+
+	// Finite extremes are accepted: −0, subnormals and ±MaxFloat64.
+	extreme := clean.Clone()
+	row := []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.MaxFloat64}
+	for i := 0; i < extreme.N; i += 3 {
+		copy(extreme.Data[3*i:3*i+3], row)
+	}
+	copy(extreme.Data[3*last:], []float64{-math.SmallestNonzeroFloat64, math.MaxFloat64, math.MaxFloat64})
+	for workers := 1; workers <= 4; workers++ {
+		q, err := NewQuantizerDatasetCtx(ctx, extreme, 64, workers)
+		if err != nil {
+			t.Fatalf("finite extremes workers=%d: %v", workers, err)
+		}
+		if q.Mins[2] != -math.MaxFloat64 || q.Maxs[2] != math.MaxFloat64 || q.Maxs[1] != math.MaxFloat64 {
+			t.Fatalf("finite extremes workers=%d: bbox %v..%v", workers, q.Mins, q.Maxs)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"adawave/internal/pointset"
 )
 
 // Quantizer maps d-dimensional points into grid cells (paper Alg. 2).
@@ -45,25 +47,55 @@ func (st *bboxShard) init(row []float64) {
 	st.maxs = append([]float64(nil), row...)
 }
 
-// scan folds row (point index i) into the shard's bounding box. It returns
-// false after recording the first non-finite coordinate: a single NaN/Inf
-// would silently poison the bounding box and funnel every point into one
-// clamped edge cell.
-func (st *bboxShard) scan(i int, row []float64) bool {
-	for j, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			st.err = invalidInput(fmt.Errorf("grid: point %d has non-finite coordinate %v in dimension %d", i, v, j))
-			st.errAt = i
-			return false
-		}
-		if v < st.mins[j] {
-			st.mins[j] = v
-		}
-		if v > st.maxs[j] {
-			st.maxs[j] = v
+// bboxTile is how many coordinates foldBBox folds per tile: whole rows
+// filling about 32 KiB, so the per-dimension passes over a tile after the
+// first hit the L1 data cache.
+const bboxTile = 4096
+
+// foldBBox folds the rows of data (row-major, len(mins) values per row)
+// into mins and maxs, and returns the sum of every value times zero: ±0
+// while all values are finite, NaN as soon as one is NaN or ±Inf. The loop
+// carries no finiteness branch; a caller that sees a non-zero sum rescans
+// with findNonFinite. Each tile of rows is folded one dimension at a time,
+// so the running extrema stay in registers.
+func foldBBox(data, mins, maxs []float64) float64 {
+	d := len(mins)
+	tile := max(1, bboxTile/d) * d
+	var bad float64
+	for t := 0; t < len(data); t += tile {
+		block := data[t:min(t+tile, len(data))]
+		for j := range mins {
+			lo, hi := mins[j], maxs[j]
+			for r := j; r < len(block); r += d {
+				v := block[r]
+				bad += v * 0
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+			mins[j], maxs[j] = lo, hi
 		}
 	}
-	return true
+	return bad
+}
+
+// findNonFinite records the first non-finite coordinate among points
+// [lo, hi) of ds: a single NaN/Inf would silently poison the bounding box
+// and funnel every point into one clamped edge cell.
+func (st *bboxShard) findNonFinite(ds *pointset.Dataset, lo, hi int) {
+	d := ds.D
+	for i := lo; i < hi; i++ {
+		for j, v := range ds.Data[i*d : (i+1)*d] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				st.err = invalidInput(fmt.Errorf("grid: point %d has non-finite coordinate %v in dimension %d", i, v, j))
+				st.errAt = i
+				return
+			}
+		}
+	}
 }
 
 // finishQuantizer merges the per-shard bounding boxes into a quantizer.
@@ -152,19 +184,38 @@ func RestoreQuantizer(mins, maxs []float64, scale int) (*Quantizer, error) {
 // Dim returns the quantizer's dimensionality.
 func (q *Quantizer) Dim() int { return len(q.Mins) }
 
+// gridSize returns the per-dimension cell counts of q's grid.
+func (q *Quantizer) gridSize() []int {
+	size := make([]int, q.Dim())
+	for j := range size {
+		size[j] = q.Scale
+	}
+	return size
+}
+
+// cellIndex is the one cell-coordinate formula: the cell of value v in a
+// dimension whose bounding box starts at lo, with inv cells per unit.
+// Cells are right-open intervals [l, h), and values outside the bounding
+// box clamp to the first or last cell. CellCoordsU16 and the counting
+// regime's packed keys both go through it, so the two regimes of
+// QuantizeDatasetCtx place every point in the same cell.
+func cellIndex(v, lo, inv float64, scale int) int {
+	c := int((v - lo) * inv)
+	if c < 0 {
+		c = 0
+	}
+	if c >= scale {
+		c = scale - 1
+	}
+	return c
+}
+
 // CellCoordsU16 writes the cell coordinates of point p into out (length
 // Dim): cells are right-open intervals [l, h), and coordinates outside the
 // bounding box clamp to the first or last cell.
 func (q *Quantizer) CellCoordsU16(p []float64, out []uint16) []uint16 {
-	for j := range q.Mins {
-		c := int((p[j] - q.Mins[j]) * q.inv[j])
-		if c < 0 {
-			c = 0
-		}
-		if c >= q.Scale {
-			c = q.Scale - 1
-		}
-		out[j] = uint16(c)
+	for j, lo := range q.Mins {
+		out[j] = uint16(cellIndex(p[j], lo, q.inv[j], q.Scale))
 	}
 	return out
 }
