@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"adawave"
@@ -141,7 +142,9 @@ func (c *Client) auth(req *http.Request) {
 // do issues one JSON round trip: method + path, optional request body,
 // optional response decode. Non-2xx responses decode into *APIError. The
 // body is marshaled once and replayed on every attempt, so WithRetry can
-// resend 429-rejected requests verbatim.
+// resend 429-rejected requests verbatim. A success body is always read to
+// EOF — a chunked body's terminating chunk included — so the transport can
+// reuse the keep-alive connection instead of dialing anew.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var raw []byte
 	if in != nil {
@@ -170,8 +173,13 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
 			defer resp.Body.Close()
 			if out != nil {
-				return json.NewDecoder(resp.Body).Decode(out)
+				if err := decodeBody(resp.Body, out); err != nil {
+					return err
+				}
 			}
+			// The value is complete; what follows is at most whitespace
+			// and the chunked terminator, so a failed drain only costs the
+			// connection, not the result.
 			io.Copy(io.Discard, resp.Body)
 			return nil
 		}
@@ -185,6 +193,36 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if err := sleepBackoff(ctx, ae.RetryAfter, attempt); err != nil {
 			return err
 		}
+	}
+}
+
+// decodeBody decodes a success body into out. A labels Result is read to
+// EOF into a pooled buffer and decoded by the labels codec; everything else
+// goes through encoding/json.
+func decodeBody(body io.Reader, out any) error {
+	res, ok := out.(*api.Result)
+	if !ok {
+		return json.NewDecoder(body).Decode(out)
+	}
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	if _, err := buf.ReadFrom(body); err != nil {
+		return err
+	}
+	return api.DecodeResult(buf.Bytes(), res)
+}
+
+// bodyPool holds read buffers for labels bodies; the codec copies what it
+// keeps, so a buffer is free again once the decode returns. Buffers past
+// maxPooledBody are dropped rather than pinned.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 4 << 20
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBody {
+		b.Reset()
+		bodyPool.Put(b)
 	}
 }
 
@@ -374,8 +412,11 @@ func (c *Client) Labels(ctx context.Context, id string) (*api.Result, error) {
 // LabelsStream clusters the current point set and consumes the NDJSON
 // streamed representation: the result meta is returned, and fn is invoked
 // once per streamed chunk with the offset of its first label — million-label
-// sessions arrive in bounded memory on both sides. A non-nil error from fn
-// aborts the stream (and, through ctx, the transfer).
+// sessions arrive in bounded memory on both sides. Chunks must arrive in
+// order, each starting where the previous one ended; a stream that skips or
+// repeats an offset fails with an out-of-order error before fn sees the
+// chunk. A non-nil error from fn aborts the stream (and, through ctx, the
+// transfer).
 func (c *Client) LabelsStream(ctx context.Context, id string, fn func(offset int, labels []int) error) (*api.Result, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/sessions/"+id+"/labels", nil)
 	if err != nil {
@@ -406,8 +447,11 @@ func (c *Client) LabelsStream(ctx context.Context, id string, fn func(offset int
 	seen := 0
 	for sc.Scan() {
 		var chunk api.LabelsChunk
-		if err := json.Unmarshal(sc.Bytes(), &chunk); err != nil {
+		if err := api.DecodeLabelsChunk(sc.Bytes(), &chunk); err != nil {
 			return nil, fmt.Errorf("bad NDJSON chunk line: %w", err)
+		}
+		if chunk.Offset != seen {
+			return nil, &streamOrderError{offset: chunk.Offset, want: seen}
 		}
 		if fn != nil {
 			if err := fn(chunk.Offset, chunk.Labels); err != nil {
@@ -424,6 +468,14 @@ func (c *Client) LabelsStream(ctx context.Context, id string, fn func(offset int
 	}
 	res := meta.Meta.Result
 	return &res, nil
+}
+
+// streamOrderError is a LabelsStream chunk whose offset is not the number
+// of labels received before it: the stream skipped or repeated labels.
+type streamOrderError struct{ offset, want int }
+
+func (e *streamOrderError) Error() string {
+	return fmt.Sprintf("NDJSON stream out of order: chunk at offset %d, want %d", e.offset, e.want)
 }
 
 // MultiResolution clusters the current point set at levels 1…maxLevels.

@@ -956,13 +956,19 @@ func (s *server) labels(w http.ResponseWriter, r *http.Request) {
 		s.streamLabels(w, r, res)
 		return
 	}
-	writeJSON(w, http.StatusOK, toAPIResult(res, true))
+	// The labels codec renders the body encoding/json would, without
+	// reflecting over the label vector, and sends it with Content-Length.
+	body := toAPIResult(res, true)
+	if err := api.WriteResult(w, http.StatusOK, &body); err != nil {
+		writeCode(w, http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("encode labels: %v", err))
+	}
 }
 
 // streamLabels writes the NDJSON representation: one meta line, then the
 // label vector in ndjsonChunk-sized lines, each flushed as soon as it is
 // encoded — a million-label session streams in constant server memory
-// instead of materializing one giant JSON array.
+// instead of materializing one giant JSON array. The meta line goes through
+// encoding/json, the chunk lines through the labels codec.
 func (s *server) streamLabels(w http.ResponseWriter, r *http.Request, res *adawave.Result) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -976,6 +982,7 @@ func (s *server) streamLabels(w http.ResponseWriter, r *http.Request, res *adawa
 		return
 	}
 	_ = rc.Flush()
+	var line []byte
 	for off := 0; off < len(res.Labels); off += ndjsonChunk {
 		if r.Context().Err() != nil {
 			// The 200 header is long gone, so instrument() cannot see this
@@ -988,7 +995,8 @@ func (s *server) streamLabels(w http.ResponseWriter, r *http.Request, res *adawa
 		if end > len(res.Labels) {
 			end = len(res.Labels)
 		}
-		if err := enc.Encode(api.LabelsChunk{Offset: off, Labels: res.Labels[off:end]}); err != nil {
+		line = api.AppendLabelsChunk(line[:0], &api.LabelsChunk{Offset: off, Labels: res.Labels[off:end]})
+		if _, err := w.Write(line); err != nil {
 			return
 		}
 		_ = rc.Flush()

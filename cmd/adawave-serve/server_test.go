@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"adawave"
+	"adawave/internal/api"
 	"adawave/internal/dataio"
 )
 
@@ -403,5 +405,88 @@ func TestServeAppendEquivalence(t *testing.T) {
 			}
 		}
 		doJSON(t, ts, "DELETE", base, "", nil, http.StatusNoContent, nil)
+	}
+}
+
+// TestServeLabelsWireFormat pins the labels bodies byte for byte: the JSON
+// form and the NDJSON stream of GET /v1/sessions/{id}/labels must equal the
+// encoding/json rendering of the same Result, and the JSON form must carry
+// Content-Length. The session spans several NDJSON chunks.
+func TestServeLabelsWireFormat(t *testing.T) {
+	srv := mustServer(t, serverOptions{workers: 2, timeout: 30 * time.Second, csvBatch: 64})
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	data := adawave.SyntheticEvaluation(4000, 0.4, 5)
+	if len(data.Points) <= 2*ndjsonChunk {
+		t.Fatalf("%d points do not span three NDJSON chunks", len(data.Points))
+	}
+	want, err := adawave.Cluster(data.Points, adawave.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	doJSON(t, ts, "POST", "/v1/sessions", "", nil, http.StatusCreated, &created)
+	batch, err := json.Marshal(map[string]any{"points": data.Points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/sessions/" + created.ID + "/labels"
+	doJSON(t, ts, "POST", "/v1/sessions/"+created.ID+"/points", "application/json", batch, http.StatusOK, nil)
+
+	var wantJSON, wantNDJSON bytes.Buffer
+	if err := json.NewEncoder(&wantJSON).Encode(toAPIResult(want, true)); err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(&wantNDJSON)
+	var meta api.LabelsMeta
+	meta.Meta.Result, meta.Meta.Points, meta.Meta.Chunk = toAPIResult(want, false), len(want.Labels), ndjsonChunk
+	if err := enc.Encode(meta); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(want.Labels); off += ndjsonChunk {
+		end := min(off+ndjsonChunk, len(want.Labels))
+		if err := enc.Encode(api.LabelsChunk{Offset: off, Labels: want.Labels[off:end]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	get := func(accept string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s (Accept %q): %d %v", path, accept, resp.StatusCode, err)
+		}
+		return resp, raw
+	}
+	resp, raw := get("")
+	if !bytes.Equal(raw, wantJSON.Bytes()) {
+		t.Fatalf("JSON labels body (%d bytes) differs from encoding/json (%d bytes)", len(raw), wantJSON.Len())
+	}
+	if resp.ContentLength != int64(len(raw)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(raw)) {
+		t.Fatalf("JSON labels body: Content-Length %q (parsed %d), want %d", resp.Header.Get("Content-Length"), resp.ContentLength, len(raw))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("JSON labels Content-Type %q", ct)
+	}
+	resp, raw = get("application/x-ndjson")
+	if !bytes.Equal(raw, wantNDJSON.Bytes()) {
+		t.Fatalf("NDJSON labels body (%d bytes) differs from encoding/json (%d bytes)", len(raw), wantNDJSON.Len())
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("NDJSON labels Content-Type %q", ct)
 	}
 }

@@ -121,6 +121,13 @@ type RemoveResponse struct {
 
 // Result is the serialized form of one clustering result. Labels is omitted
 // where the endpoint (or ?labels=false) returns diagnostics only.
+//
+// The labels endpoints move a Result through the labels codec
+// (AppendResult, WriteResult, DecodeResult): byte-identical to
+// encoding/json on the way out; on the way in, the canonical form — labels
+// as the first member, a plain int array without whitespace — is scanned
+// directly and anything else falls back to encoding/json. Labels stays the
+// first field so the canonical form is what encoding/json writes too.
 type Result struct {
 	Labels           []int   `json:"labels,omitempty"`
 	NumClusters      int     `json:"numClusters"`
@@ -219,7 +226,11 @@ type LabelsMeta struct {
 }
 
 // LabelsChunk is one streamed slice of the label vector: Labels holds the
-// labels of points [Offset, Offset+len(Labels)).
+// labels of points [Offset, Offset+len(Labels)). Chunk lines go through the
+// labels codec (AppendLabelsChunk, DecodeLabelsChunk):
+// the canonical line `{"offset":N,"labels":[…]}` is written and scanned
+// directly, byte-identical to encoding/json, and any other spelling is
+// decoded by encoding/json.
 type LabelsChunk struct {
 	Offset int   `json:"offset"`
 	Labels []int `json:"labels"`
